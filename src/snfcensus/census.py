@@ -14,14 +14,20 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from snfcensus.exact import char_poly, snf
+from snfcensus.exact import Matrix, char_poly, snf
 from snfcensus.gen import GraphStream
 from snfcensus.graphio import Graph
-from snfcensus.matrices import DisconnectedGraphError, MatrixKind, build_matrix
+from snfcensus.matrices import (
+    DISTANCE_KINDS,
+    DisconnectedGraphError,
+    MatrixKind,
+    build_matrix,
+    distance_matrix,
+)
 
 
 class CensusError(ValueError):
@@ -83,18 +89,44 @@ def _encode_ints(values) -> bytes:
     return b"".join(b"%d:%d" % (len(str(v)), v) for v in values)
 
 
-def part_key(g: Graph, part: Part) -> bytes:
+def part_key(g: Graph, part: Part, m: Matrix | None = None) -> bytes:
+    """Encoded invariant of one part; ``m``, if given, must be
+    ``build_matrix(g, part[0])``."""
     kind, itype = part
-    m = build_matrix(g, kind)
+    if m is None:
+        m = build_matrix(g, kind)
     if itype is InvariantType.SP:
         return _TAGS[part] + _encode_ints(char_poly(m).coeffs)
     res = snf(m)
     return _TAGS[part] + _encode_ints(list(res.factors) + [res.zeros])
 
 
+def _group_by_kind(parts) -> list[tuple[MatrixKind, list[Part]]]:
+    """Distinct parts grouped by matrix kind, in first-seen order."""
+    kinds: dict[MatrixKind, list[Part]] = {}
+    for p in parts:
+        same = kinds.setdefault(p[0], [])
+        if p not in same:
+            same.append(p)
+    return list(kinds.items())
+
+
+def _part_keys(g: Graph, kinds: list[tuple[MatrixKind, list[Part]]]) -> dict[Part, bytes]:
+    """Every part key of ``g``, with one BFS and one build per kind."""
+    dist = (distance_matrix(g)
+            if any(k in DISTANCE_KINDS for k, _ in kinds) else None)
+    keys = {}
+    for kind, parts in kinds:
+        m = build_matrix(g, kind, dist)
+        for p in parts:
+            keys[p] = part_key(g, p, m)
+    return keys
+
+
 def key_of(g: Graph, spec: InvariantSpec) -> bytes:
     """Canonical census key: concatenation of the part encodings."""
-    return b"".join(part_key(g, p) for p in spec.parts)
+    keys = _part_keys(g, _group_by_kind(spec.parts))
+    return b"".join(keys[p] for p in spec.parts)
 
 
 @dataclass(frozen=True)
@@ -122,55 +154,74 @@ def _mates_and_histogram(counter: Counter) -> tuple[int, dict[int, int]]:
     return mates, dict(sorted(hist.items()))
 
 
+# Records per task: enough to amortise a task's pickling under --jobs
+# (64 to 2048 run the n = 9 census equally fast at --jobs 2), few
+# enough that the serial path, which runs the same tasks, keeps the
+# peak RSS of a one-record-at-a-time loop (2048 added 2.6 MiB at n = 8).
+CHUNK = 64
+# tasks in flight per worker process under --jobs
+WINDOW_PER_JOB = 2
+
+
 def _keys_for_chunk(args) -> list[list[bytes]]:
-    start, graphs, all_parts, part_lists = args
+    start, graphs, kinds, part_lists = args
     out = []
     for offset, g in enumerate(graphs):
         try:
-            cache = {p: part_key(g, p) for p in all_parts}
+            keys = _part_keys(g, kinds)
         except DisconnectedGraphError as e:
             raise CensusError(
                 f"record {start + offset + 1}: disconnected graph in stream ({e})"
             ) from None
-        out.append([b"".join(cache[p] for p in plist) for plist in part_lists])
+        out.append([b"".join(keys[p] for p in plist) for plist in part_lists])
     return out
+
+
+def _bounded_map(pool: ProcessPoolExecutor, fn, tasks, window: int):
+    """``map(fn, tasks)`` on the pool, in order, with at most ``window``
+    tasks submitted and not yet consumed, so memory does not grow with
+    the number of tasks."""
+    pending: deque = deque()
+    for task in tasks:
+        pending.append(pool.submit(fn, task))
+        if len(pending) >= window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _iter_spec_keys(stream: GraphStream, specs: list[InvariantSpec], jobs: int):
     """Yield per-graph lists of spec keys, sharing part computations."""
-    all_parts: list[Part] = []
-    for s in specs:
-        for p in s.parts:
-            if p not in all_parts:
-                all_parts.append(p)
+    kinds = _group_by_kind(p for s in specs for p in s.parts)
     part_lists = [s.parts for s in specs]
-    if jobs <= 1:
-        recno = 0
-        for g in stream:
-            recno += 1
-            try:
-                cache = {p: part_key(g, p) for p in all_parts}
-            except DisconnectedGraphError as e:
-                raise CensusError(
-                    f"record {recno}: disconnected graph in stream ({e})") from None
-            yield [b"".join(cache[p] for p in plist) for plist in part_lists]
-        return
 
-    def chunks():
+    def tasks():
         buf = []
         start = 0
         for g in stream:
             buf.append(g)
-            if len(buf) == 2048:
-                yield (start, buf, all_parts, part_lists)
+            if len(buf) == CHUNK:
+                yield (start, buf, kinds, part_lists)
                 start += len(buf)
                 buf = []
         if buf:
-            yield (start, buf, all_parts, part_lists)
+            yield (start, buf, kinds, part_lists)
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for block in pool.map(_keys_for_chunk, chunks()):
+    if jobs <= 1:
+        for block in map(_keys_for_chunk, tasks()):
             yield from block
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        for block in _bounded_map(pool, _keys_for_chunk, tasks(),
+                                  WINDOW_PER_JOB * jobs):
+            yield from block
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _digest(key: bytes) -> bytes:
+    return hashlib.blake2b(key, digest_size=16).digest()
 
 
 def run_census(stream: GraphStream, specs, *, two_pass: bool = False,
@@ -193,24 +244,34 @@ def run_census(stream: GraphStream, specs, *, two_pass: bool = False,
                 c[k] += 1
         exact = counters
     else:
+        # each pass folds every per-record key digest into one stream
+        # digest, so a stream that changes between passes is caught
         hashed: list[Counter] = [Counter() for _ in specs]
         universe = 0
+        first = hashlib.blake2b()
         for keys in _iter_spec_keys(stream, specs, jobs):
             universe += 1
             for c, k in zip(hashed, keys):
-                c[hashlib.blake2b(k, digest_size=16).digest()] += 1
+                d = _digest(k)
+                first.update(d)
+                c[d] += 1
         hot = [frozenset(h for h, c in counter.items() if c >= 2)
                for counter in hashed]
         exact = [Counter() for _ in specs]
         second = 0
+        again = hashlib.blake2b()
         for keys in _iter_spec_keys(stream, specs, jobs):
             second += 1
             for i, k in enumerate(keys):
-                if hashlib.blake2b(k, digest_size=16).digest() in hot[i]:
+                d = _digest(k)
+                again.update(d)
+                if d in hot[i]:
                     exact[i][k] += 1
-        if second != universe:
+        if second != universe or again.digest() != first.digest():
             raise CensusError(
-                f"stream changed between passes: {universe} then {second} records")
+                f"stream changed between passes: {universe} then {second} "
+                f"records, key digests {first.hexdigest()[:16]} then "
+                f"{again.hexdigest()[:16]}")
 
     results = []
     for s, counter in zip(specs, exact):

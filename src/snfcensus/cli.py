@@ -11,6 +11,7 @@ parse error (with the offending record identified on stderr).
 """
 
 import argparse
+import contextlib
 import datetime
 import json
 import sys
@@ -101,26 +102,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
 def _census_stream(args, parser):
+    """The census input; stdin is spooled to a temporary file, removed on
+    exit, because a two-pass census reads its stream twice."""
     if args.generate:
         if not 1 <= args.n <= ENUM_MAX_N:
             parser.error(f"--generate supports 1 <= n <= {ENUM_MAX_N}")
-        return enumerate_connected(args.n)
-    if args.input == "-":
-        spool = tempfile.NamedTemporaryFile(suffix=".g6", delete=False)
-        spool.write(sys.stdin.buffer.read())
-        spool.close()
-        return graph6_file_stream(spool.name, expect_n=args.n,
-                                  label="<stdin>")
-    return graph6_file_stream(args.input, expect_n=args.n)
+        yield enumerate_connected(args.n)
+    elif args.input == "-":
+        with tempfile.NamedTemporaryFile(suffix=".g6") as spool:
+            spool.write(sys.stdin.buffer.read())
+            spool.flush()
+            yield graph6_file_stream(spool.name, expect_n=args.n,
+                                     label="<stdin>")
+    else:
+        yield graph6_file_stream(args.input, expect_n=args.n)
 
 
 def _cmd_census(args, parser) -> int:
-    stream = _census_stream(args, parser)
-    started = time.monotonic()
-    report = run_census(stream, args.spec,
-                        two_pass=args.two_pass, jobs=args.jobs)
-    elapsed = time.monotonic() - started
+    with _census_stream(args, parser) as stream:
+        started = time.monotonic()
+        report = run_census(stream, args.spec,
+                            two_pass=args.two_pass, jobs=args.jobs)
+        elapsed = time.monotonic() - started
     sys.stdout.buffer.write(emit_report(report, args.format))
     manifest = {
         "command": "census",

@@ -56,38 +56,89 @@ def _check_square(m: Matrix) -> int:
     return n
 
 
-def char_poly(m: Matrix) -> CharPoly:
-    """Division-free characteristic polynomial (Berkowitz).
+def _bareiss(a: Matrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of ``a`` in place.
 
-    Builds the polynomial of each leading principal submatrix in turn:
-    the k-th step multiplies the previous coefficient vector by a
-    Toeplitz matrix whose first column is
-    1, -m[k][k], -R.C, -R.M'C, -R.M'^2 C, ...
-    for the bordering row R, column C and leading block M'.  Only ring
-    operations are used, so coefficients stay exact integers.
+    Step t takes as pivot the first nonzero entry of the trailing block
+    in row-major order and swaps it to (t, t); every intermediate entry
+    is itself a minor of the input, so growth stays polynomial and each
+    division is exact.  Stops when the trailing block is zero.  Returns
+    the rank r and the last pivot, which is the determinant of an
+    r x r submatrix, signed so that it is the determinant of the input
+    when r = n.
+    """
+    n = len(a)
+    prev = sign = 1
+    r = 0
+    for t in range(n):
+        pr = pc = -1
+        for i in range(t, n):
+            ai = a[i]
+            for j in range(t, n):
+                if ai[j]:
+                    pr, pc = i, j
+                    break
+            if pr >= 0:
+                break
+        if pr < 0:
+            break
+        if pr != t:
+            a[t], a[pr] = a[pr], a[t]
+            sign = -sign
+        if pc != t:
+            for rowv in a:
+                rowv[t], rowv[pc] = rowv[pc], rowv[t]
+            sign = -sign
+        at = a[t]
+        p = at[t]
+        rest = range(t + 1, n)
+        for i in rest:
+            ai = a[i]
+            x = ai[t]
+            if x:
+                for j in rest:
+                    ai[j] = (p * ai[j] - x * at[j]) // prev
+            else:  # common in sparse rows: skip the zero products
+                for j in rest:
+                    ai[j] = p * ai[j] // prev
+            ai[t] = 0
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
+def char_poly(m: Matrix) -> CharPoly:
+    """Characteristic polynomial by Kronecker substitution.
+
+    c_(n-k) is +-(the sum of the C(n, k) principal k x k minors), and
+    each such minor is at most rho^k in absolute value, rho being the
+    largest absolute row sum; so sum |c_k| <= (1 + rho)^n.  Hence for
+    2^(B-1) > (1 + rho)^n the value det(2^B I - M) = sum c_k 2^(Bk)
+    holds each c_k as one balanced base-2^B digit.  2^B I - M is
+    strictly diagonally dominant, so its leading minors are nonzero and
+    the elimination never pivots: O(n^3) big-integer operations.
     """
     n = _check_square(m)
-    poly = [1]  # descending coefficients, leading first
-    for k in range(1, n + 1):
-        row = m[k - 1]
-        a = row[k - 1]
-        toep = [1, -a]
-        if k > 1:
-            r = row[:k - 1]
-            v = [m[i][k - 1] for i in range(k - 1)]
-            block = m[: k - 1]
-            for step in range(k - 1):
-                toep.append(-sum(r[i] * v[i] for i in range(k - 1)))
-                if step < k - 2:
-                    v = [sum(block[i][j] * v[j] for j in range(k - 1))
-                         for i in range(k - 1)]
-        new = [0] * (k + 1)
-        for j, pj in enumerate(poly):
-            for i in range(j, k + 1):
-                new[i] += toep[i - j] * pj
-        poly = new
-    poly.reverse()
-    return CharPoly(tuple(poly))
+    rho = max((sum(map(abs, row)) for row in m), default=0)
+    bits = ((1 + rho) ** n).bit_length() + 1
+    base = 1 << bits
+    a = [[-x for x in row] for row in m]
+    for i in range(n):
+        a[i][i] += base
+    _, value = _bareiss(a)
+    half = base >> 1
+    mask = base - 1
+    coeffs = []
+    for _ in range(n):
+        digit = value & mask
+        if digit >= half:
+            digit -= base
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    if value != 1:
+        raise ArithmeticError(f"charpoly decoding left leading digit {value}, not 1")
+    coeffs.append(1)
+    return CharPoly(tuple(coeffs))
 
 
 def _divisibility_fixup(diag: list[int]) -> list[int]:
@@ -121,48 +172,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def _rank_and_minor(m: Matrix) -> tuple[int, int]:
-    """Rational rank and the absolute value of one nonzero maximal minor.
-
-    Fraction-free (Bareiss) elimination with full pivoting; every
-    intermediate entry is itself a minor of ``m``, so growth stays
-    polynomial.  The final pivot is the determinant of an r x r
-    submatrix, which every invariant factor divides.
-    """
-    n = len(m)
-    a = [list(row) for row in m]
-    prev = 1
-    r = 0
-    for t in range(n):
-        pr = pc = -1
-        for i in range(t, n):
-            ai = a[i]
-            for j in range(t, n):
-                if ai[j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        if pr != t:
-            a[t], a[pr] = a[pr], a[t]
-        if pc != t:
-            for rowv in a:
-                rowv[t], rowv[pc] = rowv[pc], rowv[t]
-        at = a[t]
-        p = at[t]
-        for i in range(t + 1, n):
-            ai = a[i]
-            x = ai[t]
-            for j in range(t + 1, n):
-                ai[j] = (p * ai[j] - x * at[j]) // prev
-            ai[t] = 0
-        prev = p
-        r += 1
-    return r, abs(prev)
 
 
 def _diagonalize_mod(a: list[list[int]], d: int) -> list[int]:
@@ -264,14 +273,17 @@ def snf(m: Matrix) -> SnfResult:
     live in ``zeros``.
     """
     n = _check_square(m)
-    r, d = _rank_and_minor(m)
+    r, d = _bareiss([list(row) for row in m])
+    d = abs(d)
     if r == 0:
         return SnfResult((), n)
     if d == 1:
         return SnfResult((1,) * r, n - r)
     raw = [math.gcd(e, d) for e in _diagonalize_mod([list(row) for row in m], d)]
     _divisibility_fixup(raw)
-    assert all(x == d for x in raw[r:])  # padding rows carry exactly d
+    if any(x != d for x in raw[r:]):
+        raise ArithmeticError(
+            f"SNF padding entries must equal the minor {d}; diagonal {raw}")
     return SnfResult(tuple(raw[:r]), n - r)
 
 
@@ -357,34 +369,6 @@ def p_part_divisors(m: Matrix, p: int) -> list:
 
 # ------------------------------------------------------------ minors
 
-def _det(mat: Matrix) -> int:
-    """Bareiss fraction-free determinant."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ai = a[i]
-            ak = a[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
-        prev = akk
-    return sign * a[n - 1][n - 1]
-
-
 def gcd_of_k_minors(m: Matrix, k: int) -> int:
     """gcd of all k x k minors (0 if every one vanishes).
 
@@ -399,12 +383,13 @@ def gcd_of_k_minors(m: Matrix, k: int) -> int:
     for rows in combinations(idx, k):
         for cols in combinations(idx, k):
             sub = [[m[r][c] for c in cols] for r in rows]
-            g = math.gcd(g, _det(sub))
+            g = math.gcd(g, determinant(sub))
             if g == 1:
                 return 1
     return g
 
 
 def determinant(m: Matrix) -> int:
-    _check_square(m)
-    return _det(m)
+    n = _check_square(m)
+    r, d = _bareiss([list(row) for row in m])
+    return d if r == n else 0

@@ -15,6 +15,9 @@ emits exactly one representative per class in sequence order.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import tempfile
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -335,9 +338,19 @@ def build_connected_catalog(n: int, path: str) -> int:
                 u += 1
             rows.append(mask)
             found.add(canonical_form(Graph(n, tuple(rows))))
-    with open(path, "wb") as fh:
-        for rec in sorted(found):
-            fh.write(rec + b"\n")
+    # write beside the target and rename, so a killed build never
+    # leaves a truncated catalog under the final name
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=".catalog-",
+                               dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for rec in sorted(found):
+                fh.write(rec + b"\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return len(found)
 
 

@@ -94,7 +94,14 @@ def generalized_distance_matrix(g: Graph, d) -> list[list[int]]:
     return mat
 
 
-def build_matrix(g: Graph, kind: MatrixKind) -> list[list[int]]:
+def build_matrix(g: Graph, kind: MatrixKind,
+                 dist: list[list[int]] | None = None) -> list[list[int]]:
+    """The ``kind`` matrix of ``g``.
+
+    ``dist``, if given, must be ``distance_matrix(g)``; a caller that
+    needs several distance-based kinds of one graph passes it so that
+    the BFS runs once.  For kind D the result is ``dist`` itself.
+    """
     n = g.n
     if kind is MatrixKind.A:
         return adjacency_matrix(g)
@@ -104,7 +111,8 @@ def build_matrix(g: Graph, kind: MatrixKind) -> list[list[int]]:
         if kind is MatrixKind.L:
             return [[deg[i] if i == j else -a[i][j] for j in range(n)] for i in range(n)]
         return [[deg[i] if i == j else a[i][j] for j in range(n)] for i in range(n)]
-    dist = distance_matrix(g)
+    if dist is None:
+        dist = distance_matrix(g)
     if kind is MatrixKind.D:
         return dist
     tr = [sum(row) for row in dist]

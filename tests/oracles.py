@@ -97,6 +97,39 @@ def bareiss_det(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def berkowitz_charpoly(m: list[list[int]]) -> list[int]:
+    """Coefficients c_0..c_n of det(xI - M) by Berkowitz's division-free
+    algorithm.
+
+    Builds the polynomial of each leading principal submatrix in turn:
+    the k-th step multiplies the previous coefficient vector by a
+    Toeplitz matrix whose first column is
+    1, -m[k][k], -R.C, -R.M'C, -R.M'^2 C, ...
+    for the bordering row R, column C and leading block M'.
+    """
+    n = len(m)
+    poly = [1]  # descending coefficients, leading first
+    for k in range(1, n + 1):
+        row = m[k - 1]
+        toep = [1, -row[k - 1]]
+        if k > 1:
+            r = row[:k - 1]
+            v = [m[i][k - 1] for i in range(k - 1)]
+            block = m[: k - 1]
+            for step in range(k - 1):
+                toep.append(-sum(r[i] * v[i] for i in range(k - 1)))
+                if step < k - 2:
+                    v = [sum(block[i][j] * v[j] for j in range(k - 1))
+                         for i in range(k - 1)]
+        new = [0] * (k + 1)
+        for j, pj in enumerate(poly):
+            for i in range(j, k + 1):
+                new[i] += toep[i - j] * pj
+        poly = new
+    poly.reverse()
+    return poly
+
+
 def charpoly_by_interpolation(mat: list[list[int]]) -> list[int]:
     """Coefficients c_0..c_n of det(xI - M) via n+1 point evaluations.
 

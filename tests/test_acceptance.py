@@ -55,9 +55,15 @@ def _mates(stream, specs) -> tuple[int, ...]:
     return tuple(r.mates_count for r in report.results)
 
 
+def _record_count(path: Path) -> int:
+    with open(path, "rb") as fh:
+        return sum(1 for line in fh if line.strip())
+
+
 @pytest.fixture(scope="module")
 def catalog9() -> Path:
-    if not CATALOG9.exists():
+    # a catalog left short by a killed build is rebuilt, not reused
+    if not CATALOG9.exists() or _record_count(CATALOG9) != N9_UNIVERSE:
         CACHE.mkdir(exist_ok=True)
         count = build_connected_catalog(9, str(CATALOG9))
         assert count == N9_UNIVERSE

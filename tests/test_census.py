@@ -7,11 +7,14 @@ from collections import Counter
 import pytest
 
 from snfcensus.census import (
+    CHUNK,
+    WINDOW_PER_JOB,
     CensusError,
     CensusReport,
     InvariantSpec,
     InvariantType,
     SpecResult,
+    _iter_spec_keys,
     emit_report,
     key_of,
     parse_spec,
@@ -200,6 +203,33 @@ class TestRunCensus:
         serial = run_census(enumerate_connected(6), specs)
         parallel = run_census(enumerate_connected(6), specs, jobs=2)
         assert serial == parallel
+
+    def test_jobs_keep_a_bounded_window(self):
+        pulled = 0
+
+        def source():
+            nonlocal pulled
+            for _ in range(12 * CHUNK):
+                pulled += 1
+                yield K3
+
+        keys = _iter_spec_keys(GraphStream("counted", 3, source),
+                               [parse_spec("A:sp")], jobs=2)
+        try:
+            next(keys)
+            assert pulled <= WINDOW_PER_JOB * 2 * CHUNK
+        finally:
+            keys.close()
+
+    def test_two_pass_catches_changed_stream(self):
+        graphs = list(enumerate_connected(7))
+        spec = parse_spec("DL:sp")
+        sizes = Counter(key_of(g, spec) for g in graphs)
+        hot = next(g for g in graphs if sizes[key_of(g, spec)] >= 2)
+        passes = iter([graphs, [hot] * len(graphs)])
+        stream = GraphStream("changing", 7, lambda: iter(next(passes)))
+        with pytest.raises(CensusError, match="changed between passes"):
+            run_census(stream, ["DL:sp"], two_pass=True)
 
     def test_disconnected_stream_aborts_with_record(self, tmp_path):
         recs = [write_graph6(g) for g in enumerate_connected(4)]

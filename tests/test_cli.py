@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour: output, exit codes, manifests."""
 
+import io
 import json
+import sys
+import tempfile
 
 import pytest
 
@@ -80,6 +83,17 @@ class TestCensusCommand:
                            "--input", str(p), "--spec", "A:sp")
         assert code == 3
         assert "record 3" in err
+
+    def test_stdin_spool_is_removed(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        good = b"".join(write_graph6(g) + b"\n" for g in enumerate_connected(5))
+        for data, want in ((good, 0), (good, 0), (b"Dhc\n!!!\n", 3)):
+            monkeypatch.setattr(sys, "stdin",
+                                io.TextIOWrapper(io.BytesIO(data)))
+            code, _, _ = run(capsys, "census", "--n", "5", "--input", "-",
+                             "--spec", "A:in", "--two-pass")
+            assert code == want
+        assert not list(tmp_path.glob("*.g6"))
 
     def test_generate_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from snfcensus import exact
 from snfcensus.exact import (
     CharPoly,
     SnfResult,
@@ -16,6 +17,8 @@ from snfcensus.exact import (
     p_rank,
     snf,
 )
+from snfcensus.gen import enumerate_connected
+from snfcensus.matrices import MatrixKind, build_matrix
 
 A_K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 D_P3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -74,6 +77,25 @@ class TestCharPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             char_poly([[1, 2, 3], [4, 5, 6]])
+
+    def test_against_berkowitz_on_connected_7(self):
+        for g in enumerate_connected(7):
+            for kind in MatrixKind:
+                m = build_matrix(g, kind)
+                assert list(char_poly(m).coeffs) == oracles.berkowitz_charpoly(m)
+
+    def test_against_berkowitz_oracle(self):
+        rng = random.Random(12)
+        cases = [random_matrix(rng.randrange(1, 13), rng, bound=10**12)
+                 for _ in range(60)]
+        cases += [random_matrix(n, rng, bound=1) for n in range(1, 13)]
+        # zero matrices (rho = 0), and -rho*I, whose coefficients
+        # C(n, k) rho^(n-k) sum to exactly the (1 + rho)^n bound
+        cases += [[[0] * n for _ in range(n)] for n in range(13)]
+        cases += [[[-r if i == j else 0 for j in range(n)] for i in range(n)]
+                  for n in (1, 6, 12) for r in (1, 7, 10**12)]
+        for m in cases:
+            assert list(char_poly(m).coeffs) == oracles.berkowitz_charpoly(m)
 
 
 class TestSnf:
@@ -145,6 +167,12 @@ class TestSnf:
                     for row in w:
                         row[i], row[j] = row[j], row[i]
             assert snf(w) == ref
+
+    def test_bad_padding_raises(self, monkeypatch):
+        monkeypatch.setattr(exact, "_diagonalize_mod",
+                            lambda a, d: [1] * len(a))
+        with pytest.raises(ArithmeticError, match=r"diagonal \[1, 1, 1, 1\]"):
+            snf(DL_K4)
 
     def test_rank_matches_rational_rank(self):
         # rank deficiency shows up as zeros

@@ -8,8 +8,10 @@ import networkx as nx
 import pytest
 
 import oracles
+from snfcensus import gen
 from snfcensus.gen import (
     GraphStream,
+    build_connected_catalog,
     canonical_form,
     complete_bipartite_graph,
     complete_graph,
@@ -229,3 +231,25 @@ class TestConstructors:
     def test_degenerate_cycle_rejected(self):
         with pytest.raises(ValueError):
             cycle_graph(2)
+
+
+class TestCatalogBuild:
+    def test_writes_sorted_connected_classes(self, tmp_path):
+        path = tmp_path / "connected5.g6"
+        assert build_connected_catalog(5, str(path)) == 21
+        want = sorted(write_graph6(g) for g in enumerate_connected(5))
+        assert path.read_bytes().split() == want
+        assert [p.name for p in tmp_path.iterdir()] == ["connected5.g6"]
+
+    def test_failed_build_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "connected5.g6"
+        path.write_bytes(b"old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(gen.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            build_connected_catalog(5, str(path))
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["connected5.g6"]
