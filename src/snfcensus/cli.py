@@ -28,7 +28,7 @@ from .gen import (
     enumerate_trees,
     graph6_file_stream,
 )
-from .graphio import Graph6Error, parse_graph6, write_graph6
+from .graphio import Graph6Error, _graph6_records, parse_graph6, write_graph6
 from .matrices import DisconnectedGraphError, MatrixKind, build_matrix
 from .theorems import (
     EXPECTED_D_COSPECTRAL_PAIRS,
@@ -121,6 +121,8 @@ def _census_stream(args, parser):
 
 
 def _cmd_census(args, parser) -> int:
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     with _census_stream(args, parser) as stream:
         started = time.monotonic()
         report = run_census(stream, args.spec,
@@ -137,6 +139,7 @@ def _cmd_census(args, parser) -> int:
         "format": args.format,
         "two_pass": args.two_pass,
         "jobs": args.jobs,
+        "padding_warnings": stream.padding_warnings,
         "wall_time_s": round(elapsed, 3),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -225,16 +228,9 @@ def _cmd_verify_dq(args, parser) -> int:
 
 
 def _records_from(arg: str):
-    if arg != "-":
-        yield 1, arg.encode()
-        return
-    recno = 0
-    for raw in sys.stdin.buffer:
-        line = raw.strip()
-        if not line or line == b">>graph6<<":
-            continue
-        recno += 1
-        yield recno, line
+    if arg == "-":
+        return _graph6_records(sys.stdin.buffer)
+    return [(1, arg.encode())]
 
 
 def _cmd_per_record(args) -> int:

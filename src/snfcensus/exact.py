@@ -1,5 +1,5 @@
-"""Exact integer linear algebra: characteristic polynomials, Smith
-normal form, p-ranks and p-part elementary divisors.
+"""Exact integer linear algebra: characteristic polynomials and Smith
+normal form.
 
 Matrices are plain ``list[list[int]]`` with arbitrary-precision
 entries; nothing in this module touches floating point.  Two graphs
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 Matrix = list[list[int]]
 
@@ -285,111 +284,3 @@ def snf(m: Matrix) -> SnfResult:
         raise ArithmeticError(
             f"SNF padding entries must equal the minor {d}; diagonal {raw}")
     return SnfResult(tuple(raw[:r]), n - r)
-
-
-# ------------------------------------------------------------ primes
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for w in _MR_WITNESSES:
-        if p == w:
-            return True
-        if p % w == 0:
-            return False
-    d = p - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for w in _MR_WITNESSES:
-        x = pow(w, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def p_rank(m: Matrix, p: int) -> int:
-    """Rank over F_p = number of invariant factors not divisible by p.
-
-    Computed directly by Gaussian elimination mod p (cheap), which
-    agrees with the SNF count; the test suite checks both routes.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    n = _check_square(m)
-    a = [[x % p for x in row] for row in m]
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, n) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        arow = a[rank]
-        for i in range(rank + 1, n):
-            f = a[i][col]
-            if f:
-                f = f * inv % p
-                ai = a[i]
-                for j in range(col, n):
-                    ai[j] = (ai[j] - f * arow[j]) % p
-        rank += 1
-    return rank
-
-
-def p_part_divisors(m: Matrix, p: int) -> list:
-    """p-adic valuations of the invariant factors, in chain order.
-
-    Zero diagonal entries map to ``math.inf``.  The number of zero
-    valuations equals p_rank(m, p).
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    result = snf(m)
-    vals: list = []
-    for f in result.factors:
-        v = 0
-        while f % p == 0:
-            f //= p
-            v += 1
-        vals.append(v)
-    vals.extend([math.inf] * result.zeros)
-    return vals
-
-
-# ------------------------------------------------------------ minors
-
-def gcd_of_k_minors(m: Matrix, k: int) -> int:
-    """gcd of all k x k minors (0 if every one vanishes).
-
-    Test oracle for the SNF: the product f_1 ... f_k equals this gcd.
-    Exponential in n -- intended for n <= 6.
-    """
-    n = _check_square(m)
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} outside 1..{n}")
-    g = 0
-    idx = list(range(n))
-    for rows in combinations(idx, k):
-        for cols in combinations(idx, k):
-            sub = [[m[r][c] for c in cols] for r in rows]
-            g = math.gcd(g, determinant(sub))
-            if g == 1:
-                return 1
-    return g
-
-
-def determinant(m: Matrix) -> int:
-    n = _check_square(m)
-    r, d = _bareiss([list(row) for row in m])
-    return d if r == n else 0

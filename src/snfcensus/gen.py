@@ -1,12 +1,14 @@
 """Isomorph-free generation of connected graphs and free trees.
 
-The connected enumerator grows a catalog of *all* graphs on k
-vertices (one representative per isomorphism class) by attaching a
-new vertex to every subset of each (k-1)-vertex representative and
-deduplicating through ``canonical_form``; connected classes are then
-filtered out.  Augmenting from every class is complete: deleting the
-highest vertex of any n-vertex graph leaves some (n-1)-vertex class,
-so every class is reached.
+One vertex-extension loop, ``_extend``, makes every class on n
+vertices: it attaches a new vertex to every subset of each class on
+n-1 vertices and deduplicates through ``canonical_form``.  This is
+complete, because deleting the highest vertex of any n-vertex graph
+leaves some (n-1)-vertex class.  The parents are the catalog of *all*
+graphs on n-1 vertices, grown by the same loop.  For connected classes
+the loop keeps only neighbourhoods that meet every component of the
+parent: exactly those children are connected, and every connected
+graph is such a child of the graph left by deleting its highest vertex.
 
 Free trees come from the level-sequence successor generator
 (Wright/Richmond/Odlyzko/McKay) as implemented by networkx, which
@@ -26,8 +28,10 @@ import networkx as nx
 from snfcensus.graphio import (
     Graph,
     Graph6Error,
+    _bfs_frontiers,
+    _graph6_records,
+    _nonzero_padding,
     graph_from_edges,
-    is_connected,
     parse_graph6,
     write_graph6,
 )
@@ -158,17 +162,21 @@ class GraphStream:
     """Restartable stream of graphs, one per isomorphism class.
 
     ``emitted`` counts the graphs yielded by the most recent (or
-    ongoing) iteration; iterating again restarts the source.
+    ongoing) iteration, and ``padding_warnings`` the graph6 records of
+    that iteration whose padding bits were not zero; iterating again
+    restarts the source.
     """
 
     def __init__(self, source: str, n: int, factory: Callable[[], Iterator[Graph]]):
         self.source = source
         self.n = n
         self.emitted = 0
+        self.padding_warnings = 0
         self._factory = factory
 
     def __iter__(self) -> Iterator[Graph]:
         self.emitted = 0
+        self.padding_warnings = 0
         for g in self._factory():
             self.emitted += 1
             yield g
@@ -177,28 +185,42 @@ class GraphStream:
         return f"GraphStream({self.source!r}, n={self.n}, emitted={self.emitted})"
 
 
-@lru_cache(maxsize=None)
-def _graph_catalog(n: int) -> tuple[Graph, ...]:
-    """Every graph on n vertices (connected or not), canonically
-    labeled, sorted by canonical bytes.  Grown by vertex extension."""
+def _component_masks(g: Graph) -> list[int]:
+    masks = []
+    remaining = (1 << g.n) - 1
+    while remaining:
+        # frontiers are disjoint, so their sum is their union
+        component = sum(_bfs_frontiers(g.adj, remaining & -remaining))
+        masks.append(component)
+        remaining &= ~component
+    return masks
+
+
+def _extend(n: int, connected: bool) -> list[bytes]:
+    """Sorted canonical graph6 bytes of every class on n vertices, or
+    of every connected class, made by adding vertex n-1 to each class
+    on n-1 vertices."""
     if n == 1:
-        return (Graph(1, (0,)),)
+        return [write_graph6(Graph(1, (0,)))]
     found: set[bytes] = set()
-    for parent in _graph_catalog(n - 1):
+    hi = 1 << (n - 1)
+    for parent in _catalog(n - 1, False):
+        comps = _component_masks(parent) if connected else ()
         base = parent.adj
-        hi = 1 << (n - 1)
         for mask in range(hi):
-            rows = list(base)
-            m = mask
-            u = 0
-            while m:
-                if m & 1:
-                    rows[u] |= hi
-                m >>= 1
-                u += 1
+            if not all(mask & cm for cm in comps):
+                continue
+            rows = [row | hi if mask >> u & 1 else row
+                    for u, row in enumerate(base)]
             rows.append(mask)
             found.add(canonical_form(Graph(n, tuple(rows))))
-    return tuple(parse_graph6(rec) for rec in sorted(found))
+    return sorted(found)
+
+
+@lru_cache(maxsize=None)
+def _catalog(n: int, connected: bool) -> tuple[Graph, ...]:
+    """``_extend(n, connected)`` parsed, kept for the life of the process."""
+    return tuple(parse_graph6(rec) for rec in _extend(n, connected))
 
 
 def enumerate_connected(n: int) -> GraphStream:
@@ -209,13 +231,8 @@ def enumerate_connected(n: int) -> GraphStream:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {ENUM_MAX_N}; "
             f"use a graph6 file for n = {n}")
-
-    def factory() -> Iterator[Graph]:
-        for g in _graph_catalog(n):
-            if is_connected(g):
-                yield g
-
-    return GraphStream(f"connected(n={n})", n, factory)
+    return GraphStream(f"connected(n={n})", n,
+                       lambda: iter(_catalog(n, True)))
 
 
 def enumerate_trees(n: int) -> GraphStream:
@@ -242,18 +259,8 @@ def graph6_file_stream(path: str, expect_n: int | None = None,
     name = path if label is None else label
 
     def records() -> Iterator[tuple[int, bytes]]:
-        recno = 0
         with open(path, "rb") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith(b">>graph6<<"):
-                    line = line[len(b">>graph6<<"):]
-                    if not line:
-                        continue
-                recno += 1
-                yield recno, line
+            yield from _graph6_records(fh)
 
     first_n = expect_n
     if first_n is None:
@@ -273,78 +280,31 @@ def graph6_file_stream(path: str, expect_n: int | None = None,
             if g.n != want:
                 raise Graph6Error(
                     f"{name} record {recno}: n = {g.n}, expected {want}")
+            if _nonzero_padding(line):
+                stream.padding_warnings += 1
             yield g
 
-    return GraphStream(name, want, factory)
+    stream = GraphStream(name, want, factory)
+    return stream
 
 
 # ----------------------------------------------------- catalog building
 
-def _component_masks(g: Graph) -> list[int]:
-    masks = []
-    remaining = (1 << g.n) - 1
-    adj = g.adj
-    while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            f = frontier
-            v = 0
-            while f:
-                if f & 1:
-                    nxt |= adj[v]
-                f >>= 1
-                v += 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        masks.append(seen)
-        remaining &= ~seen
-    return masks
-
-
 def build_connected_catalog(n: int, path: str) -> int:
     """Write every connected n-vertex class to ``path`` as sorted
-    graph6 lines; returns the class count.
-
-    Extends each (n-1)-vertex class by a new vertex whose
-    neighborhood meets every component of the parent, which makes the
-    candidate connected and still reaches every connected class.
-    Intended for n = 9, one step past the in-memory enumerator.
+    graph6 lines; returns the class count.  Intended for n = 9, one
+    step past the in-memory enumerator.
     """
     if not 2 <= n <= CANONICAL_MAX_N - 1:
         raise ValueError(f"catalog building supported for 2 <= n <= {CANONICAL_MAX_N - 1}")
-    found: set[bytes] = set()
-    hi = 1 << (n - 1)
-    for parent in _graph_catalog(n - 1):
-        comps = _component_masks(parent)
-        base = parent.adj
-        for mask in range(1, hi):
-            ok = True
-            for cm in comps:
-                if not mask & cm:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            rows = list(base)
-            m = mask
-            u = 0
-            while m:
-                if m & 1:
-                    rows[u] |= hi
-                m >>= 1
-                u += 1
-            rows.append(mask)
-            found.add(canonical_form(Graph(n, tuple(rows))))
+    found = _extend(n, True)
     # write beside the target and rename, so a killed build never
     # leaves a truncated catalog under the final name
     fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=".catalog-",
                                dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as fh:
-            for rec in sorted(found):
+            for rec in found:
                 fh.write(rec + b"\n")
         os.replace(tmp, path)
     except BaseException:

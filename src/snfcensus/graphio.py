@@ -6,12 +6,14 @@ triangle of the adjacency matrix.  The triangle is read column by
 column -- bit x(i, j) for j = 1..n-1, i = 0..j-1 -- and packed
 big-endian into 6-bit groups, each emitted as one byte with 63 added.
 Unused padding bits in the final group must be zero in canonical
-output; nonzero padding on input is tolerated but counted.
+output; nonzero padding on input is tolerated, and file streams count
+the records that carry it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import BinaryIO, Iterator
 
 
 class Graph6Error(ValueError):
@@ -28,21 +30,6 @@ class Graph6LengthError(Graph6Error):
 
 class Graph6ByteError(Graph6Error):
     """A data byte falls outside the printable range 63..126."""
-
-
-#: Number of parsed records whose final byte carried nonzero padding
-#: bits.  Such records decode fine but are not canonical; the counter
-#: lets bulk ingestion report how dirty a file was.
-padding_warnings = 0
-
-
-def padding_warning_count() -> int:
-    return padding_warnings
-
-
-def reset_padding_warnings() -> None:
-    global padding_warnings
-    padding_warnings = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +89,6 @@ def _data_len(n: int) -> int:
 
 def parse_graph6(line: bytes | str) -> Graph:
     """Decode one graph6 record (trailing newline tolerated)."""
-    global padding_warnings
     if isinstance(line, str):
         line = line.encode("ascii")
     line = line.rstrip(b"\r\n")
@@ -135,12 +121,28 @@ def parse_graph6(line: bytes | str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             bitpos += 1
-    # check padding bits beyond the triangle
-    if bitpos % 6:
-        tail = data[-1] - 63
-        if tail & ((1 << (6 - bitpos % 6)) - 1):
-            padding_warnings += 1
     return Graph(n, tuple(rows))
+
+
+def _nonzero_padding(record: bytes) -> bool:
+    """Whether a valid record sets padding bits beyond the triangle:
+    it decodes, but is not canonical graph6."""
+    n = record[0] - 63
+    pad = -(n * (n - 1) // 2) % 6
+    return bool((record[-1] - 63) & ((1 << pad) - 1))
+
+
+def _graph6_records(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """(1-based record number, record) for each graph6 line of ``fh``;
+    blank lines and a ``>>graph6<<`` header prefix are skipped."""
+    recno = 0
+    for raw in fh:
+        line = raw.strip()
+        if line.startswith(b">>graph6<<"):
+            line = line[len(b">>graph6<<"):]
+        if line:
+            recno += 1
+            yield recno, line
 
 
 def write_graph6(g: Graph) -> bytes:
@@ -164,22 +166,23 @@ def write_graph6(g: Graph) -> bytes:
     return bytes(out)
 
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from vertex 0 covers all vertices."""
-    if g.n == 1:
-        return True
-    seen = 1
-    frontier = 1
-    adj = g.adj
+def _bfs_frontiers(adj: tuple[int, ...], start: int) -> Iterator[int]:
+    """Breadth-first search over adjacency bitsets: yields the vertex
+    set at distance 0, 1, 2, ... from the bitset ``start`` until the
+    search stops growing.  The frontiers are disjoint, and together
+    they are everything reachable from ``start``."""
+    seen = frontier = start
     while frontier:
+        yield frontier
         nxt = 0
-        v = 0
-        f = frontier
-        while f:
-            if f & 1:
-                nxt |= adj[v]
-            f >>= 1
-            v += 1
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+
+
+def is_connected(g: Graph) -> bool:
+    """Breadth-first reachability from vertex 0 covers all vertices."""
+    return sum(_bfs_frontiers(g.adj, 1)) == (1 << g.n) - 1

@@ -1,4 +1,4 @@
-"""The six graph matrices: A, L, Q, D, DL, DQ, plus diag(d) + D.
+"""The six graph matrices: A, L, Q, D, DL, DQ.
 
 All entries are plain Python ints from construction onward so the
 exact linear algebra downstream never meets floating point or fixed
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 
-from snfcensus.graphio import Graph
+from snfcensus.graphio import Graph, _bfs_frontiers
 
 
 class DisconnectedGraphError(ValueError):
@@ -48,50 +48,20 @@ def distance_matrix(g: Graph) -> list[list[int]]:
     out = []
     for src in range(n):
         row = [0] * n
-        seen = 1 << src
-        frontier = seen
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = 0
-            f = frontier
-            v = 0
-            while f:
-                if f & 1:
-                    nxt |= adj[v]
-                f >>= 1
-                v += 1
-            frontier = nxt & ~seen
+        seen = 0
+        for dist, frontier in enumerate(_bfs_frontiers(adj, 1 << src)):
             seen |= frontier
-            f = frontier
-            v = 0
-            while f:
-                if f & 1:
-                    row[v] = dist
-                f >>= 1
-                v += 1
+            while frontier:
+                low = frontier & -frontier
+                row[low.bit_length() - 1] = dist
+                frontier ^= low
         if seen != full:
-            missing = next(v for v in range(n) if not (seen >> v) & 1)
+            unreached = full & ~seen
+            missing = (unreached & -unreached).bit_length() - 1
             raise DisconnectedGraphError(
                 f"vertex {missing} unreachable from vertex {src}")
         out.append(row)
     return out
-
-
-def transmission_vector(g: Graph) -> tuple[int, ...]:
-    """tr(u) = sum of distances from u to every vertex."""
-    return tuple(sum(row) for row in distance_matrix(g))
-
-
-def generalized_distance_matrix(g: Graph, d) -> list[list[int]]:
-    """diag(d) + D(G): recovers D at d = 0 and DQ at d = tr(G)."""
-    dvec = list(d)
-    if len(dvec) != g.n:
-        raise ValueError(f"diagonal vector has length {len(dvec)}, need {g.n}")
-    mat = distance_matrix(g)
-    for i, x in enumerate(dvec):
-        mat[i][i] += x
-    return mat
 
 
 def build_matrix(g: Graph, kind: MatrixKind,

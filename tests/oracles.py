@@ -168,16 +168,23 @@ def charpoly_by_interpolation(mat: list[list[int]]) -> list[int]:
     return out
 
 
+def minor_gcd(mat: list[list[int]], k: int) -> int:
+    """Delta_k: the gcd of all k x k minors (0 if every one vanishes)."""
+    n = len(mat)
+    g = 0
+    for rows in combinations(range(n), k):
+        for cols in combinations(range(n), k):
+            sub = [[mat[r][c] for c in cols] for r in rows]
+            g = math.gcd(g, bareiss_det(sub))
+    return g
+
+
 def snf_by_minor_gcds(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors via Delta_k ratios; practical only for n <= 6."""
     n = len(mat)
     deltas = [1]
     for k in range(1, n + 1):
-        g = 0
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                sub = [[mat[r][c] for c in cols] for r in rows]
-                g = math.gcd(g, bareiss_det(sub))
+        g = minor_gcd(mat, k)
         if g == 0:
             break
         deltas.append(g)

@@ -7,6 +7,7 @@ import tempfile
 
 import pytest
 
+from snfcensus import census
 from snfcensus.cli import main
 from snfcensus.gen import enumerate_connected
 from snfcensus.graphio import write_graph6
@@ -95,6 +96,28 @@ class TestCensusCommand:
             assert code == want
         assert not list(tmp_path.glob("*.g6"))
 
+    @pytest.mark.parametrize("two_pass", [False, True])
+    def test_manifest_counts_dirty_padding(self, capsys, tmp_path, two_pass):
+        # 'Bx' is K3 with a padding bit set; 'Bg' is a clean P3
+        p = tmp_path / "dirty.g6"
+        p.write_bytes(b"Bg\nBx\n")
+        argv = ["census", "--n", "3", "--input", str(p), "--spec", "A:sp"]
+        code, out, err = run(capsys, *argv, *(["--two-pass"] * two_pass))
+        assert code == 0 and "\t2\t" in out
+        assert json.loads(err)["padding_warnings"] == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--n", "5", "--generate", "--spec", "A:sp",
+                  "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
     def test_generate_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["census", "--n", "9", "--generate", "--spec", "A:sp"])
@@ -167,6 +190,14 @@ class TestPerRecordCommands:
         code, _, err = run(capsys, "snf", "--kind", "D", "B_")
         assert code == 3
         assert "unreachable" in err
+
+    def test_stdin_header_prefix(self, capsys, monkeypatch):
+        # the header may share a line with the first record, as in files
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(b">>graph6<<Bw\nBg\n")))
+        code, out, _ = run(capsys, "snf", "--kind", "A", "-")
+        assert code == 0
+        assert out == "1 1 2\n1 1 0\n"
 
     def test_bad_record_exits_3(self, capsys):
         code, _, err = run(capsys, "charpoly", "--kind", "A", "!!!")

@@ -7,16 +7,7 @@ import pytest
 
 import oracles
 from snfcensus import exact
-from snfcensus.exact import (
-    CharPoly,
-    SnfResult,
-    char_poly,
-    determinant,
-    gcd_of_k_minors,
-    p_part_divisors,
-    p_rank,
-    snf,
-)
+from snfcensus.exact import CharPoly, SnfResult, char_poly, snf
 from snfcensus.gen import enumerate_connected
 from snfcensus.matrices import MatrixKind, build_matrix
 
@@ -67,7 +58,7 @@ class TestCharPoly:
             c = char_poly(m).coeffs
             assert c[-1] == 1
             assert c[-2] == -sum(m[i][i] for i in range(n))
-            assert c[0] == (-1) ** n * determinant(m)
+            assert c[0] == (-1) ** n * oracles.bareiss_det(m)
 
     def test_large_entries_stay_exact(self):
         rng = random.Random(8)
@@ -131,7 +122,7 @@ class TestSnf:
             n = rng.randrange(1, 6)
             m = random_matrix(n, rng)
             res = snf(m)
-            d = determinant(m)
+            d = oracles.bareiss_det(m)
             if res.zeros == 0:
                 assert math.prod(res.factors) == abs(d)
             else:
@@ -181,65 +172,11 @@ class TestSnf:
         assert res.zeros == 1 and res.rank == 2
 
 
-class TestPRank:
-    def test_known_values(self):
-        assert p_rank(A_K3, 2) == 2
-        assert p_rank(D_P3, 2) == 2
-        eye5 = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-        for p in (2, 3, 5, 7, 11):
-            assert p_rank(eye5, p) == 5
-
-    def test_not_prime_rejected(self):
-        for bad in (1, 4, 6, 9, 561):  # 561 is a Carmichael number
-            with pytest.raises(ValueError):
-                p_rank(A_K3, bad)
-        with pytest.raises(ValueError):
-            p_part_divisors(A_K3, 10)
-
-    def test_agrees_with_snf_route(self):
-        rng = random.Random(303)
-        for _ in range(150):
-            n = rng.randrange(1, 6)
-            m = random_matrix(n, rng)
-            res = snf(m)
-            for p in (2, 3, 5, 7):
-                expect = sum(1 for f in res.factors if f % p)
-                assert p_rank(m, p) == expect
-
-
-class TestPPartDivisors:
-    def test_frozen(self):
-        assert p_part_divisors(DQ_K4, 2) == [0, 1, 1, 2]
-        assert p_part_divisors(D_P3, 3) == [0, 0, 0]
-        eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        assert p_part_divisors(eye, 5) == [0, 0, 0, 0]
-
-    def test_zeros_map_to_inf(self):
-        vals = p_part_divisors(DL_K4, 2)
-        assert vals == [0, 2, 2, math.inf]
-
-    def test_zero_count_equals_p_rank(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            n = rng.randrange(1, 6)
-            m = random_matrix(n, rng)
-            for p in (2, 3, 5):
-                vals = p_part_divisors(m, p)
-                assert sum(1 for v in vals if v == 0) == p_rank(m, p)
-                assert vals == sorted(vals)
-
-
 class TestMinors:
     def test_p3_distance_deltas(self):
-        assert gcd_of_k_minors(D_P3, 1) == 1
-        assert gcd_of_k_minors(D_P3, 2) == 1
-        assert gcd_of_k_minors(D_P3, 3) == 4
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            gcd_of_k_minors(D_P3, 0)
-        with pytest.raises(ValueError):
-            gcd_of_k_minors(D_P3, 4)
+        assert oracles.minor_gcd(D_P3, 1) == 1
+        assert oracles.minor_gcd(D_P3, 2) == 1
+        assert oracles.minor_gcd(D_P3, 3) == 4
 
     def test_factor_products_equal_minor_gcds(self):
         rng = random.Random(21)
@@ -250,11 +187,14 @@ class TestMinors:
             prod = 1
             for k in range(1, res.rank + 1):
                 prod *= res.factors[k - 1]
-                assert gcd_of_k_minors(m, k) == prod
+                assert oracles.minor_gcd(m, k) == prod
 
     def test_determinant_matches_oracle(self):
+        # the shared elimination kernel: rank, and the determinant
+        # (sign included) when the rank is full
         rng = random.Random(42)
         for _ in range(100):
             n = rng.randrange(1, 7)
             m = random_matrix(n, rng, bound=30)
-            assert determinant(m) == oracles.bareiss_det(m)
+            r, d = exact._bareiss([row[:] for row in m])
+            assert (d if r == n else 0) == oracles.bareiss_det(m)

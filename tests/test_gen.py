@@ -235,11 +235,13 @@ class TestConstructors:
 
 class TestCatalogBuild:
     def test_writes_sorted_connected_classes(self, tmp_path):
-        path = tmp_path / "connected5.g6"
-        assert build_connected_catalog(5, str(path)) == 21
-        want = sorted(write_graph6(g) for g in enumerate_connected(5))
-        assert path.read_bytes().split() == want
-        assert [p.name for p in tmp_path.iterdir()] == ["connected5.g6"]
+        for n in range(2, 8):
+            path = tmp_path / f"connected{n}.g6"
+            assert build_connected_catalog(n, str(path)) == CONNECTED_COUNTS[n]
+            want = sorted(write_graph6(g) for g in enumerate_connected(n))
+            assert path.read_bytes().split() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == [f"connected{n}.g6" for n in range(2, 8)]
 
     def test_failed_build_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "connected5.g6"

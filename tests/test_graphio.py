@@ -2,11 +2,13 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from snfcensus.gen import _component_masks, graph6_file_stream
 from snfcensus.graphio import (
     Graph,
     Graph6ByteError,
@@ -14,9 +16,7 @@ from snfcensus.graphio import (
     Graph6SizeError,
     graph_from_edges,
     is_connected,
-    padding_warning_count,
     parse_graph6,
-    reset_padding_warnings,
     write_graph6,
 )
 
@@ -94,14 +94,16 @@ class TestErrors:
 
 
 class TestPadding:
-    def test_nonzero_padding_counted(self):
-        reset_padding_warnings()
+    def test_nonzero_padding_counted(self, tmp_path):
         # K3 data byte 'w' = 111000 + 63; flip a padding bit: 111001 -> 'x'
-        g = parse_graph6(b"Bx")
-        assert g == K3
-        assert padding_warning_count() == 1
-        parse_graph6(b"Bw")
-        assert padding_warning_count() == 1
+        assert parse_graph6(b"Bx") == K3
+        p = tmp_path / "dirty.g6"
+        p.write_bytes(b"Bw\nBx\nBw\n")
+        s = graph6_file_stream(str(p))
+        assert s.padding_warnings == 0
+        assert list(s) == [K3] * 3
+        assert s.padding_warnings == 1
+        assert len(list(s)) == 3 and s.padding_warnings == 1  # per pass
 
     def test_output_padding_is_zero(self):
         rng = random.Random(7)
@@ -184,3 +186,13 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert is_connected(graph_from_edges(1, []))
+
+    def test_matches_networkx_on_all_7_vertex_graphs(self):
+        atlas = [a for a in nx.graph_atlas_g() if a.number_of_nodes() == 7]
+        assert len(atlas) == 1044
+        for a in atlas:
+            g = graph_from_edges(7, a.edges())
+            assert is_connected(g) == nx.is_connected(a)
+            want = {sum(1 << v for v in c) for c in nx.connected_components(a)}
+            masks = _component_masks(g)
+            assert len(masks) == len(want) and set(masks) == want

@@ -5,15 +5,14 @@ import random
 import pytest
 
 import oracles
-from snfcensus.graphio import graph_from_edges
+from snfcensus.gen import enumerate_connected
+from snfcensus.graphio import graph_from_edges, is_connected
 from snfcensus.matrices import (
     DisconnectedGraphError,
     MatrixKind,
     adjacency_matrix,
     build_matrix,
     distance_matrix,
-    generalized_distance_matrix,
-    transmission_vector,
 )
 
 P3 = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -29,8 +28,6 @@ def random_connected(n, rng):
     while True:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
         g = graph_from_edges(n, edges)
-        from snfcensus.graphio import is_connected
-
         if is_connected(g):
             return g
 
@@ -55,10 +52,24 @@ def test_c5_rows_sum_to_six():
                 assert x in (1, 2)
 
 
+def transmissions(g):
+    return [sum(row) for row in distance_matrix(g)]
+
+
+def shifted_distances(g, d):
+    """diag(d) + D(G)."""
+    m = distance_matrix(g)
+    for i, x in enumerate(d):
+        m[i][i] += x
+    return m
+
+
 def test_distance_matches_floyd_warshall():
     rng = random.Random(11)
     for _ in range(60):
         g = random_connected(rng.randrange(2, 10), rng)
+        assert distance_matrix(g) == oracles.floyd_warshall(g)
+    for g in enumerate_connected(7):
         assert distance_matrix(g) == oracles.floyd_warshall(g)
 
 
@@ -80,7 +91,9 @@ def test_p3_dl_example():
 
 
 def test_transmission_p3():
-    assert transmission_vector(P3) == (3, 2, 3)
+    assert transmissions(P3) == [3, 2, 3]
+    dl = build_matrix(P3, MatrixKind.DL)
+    assert [dl[i][i] for i in range(3)] == [3, 2, 3]
 
 
 def test_kind_parse():
@@ -91,20 +104,15 @@ def test_kind_parse():
 
 
 def test_generalized_matrix_relations():
+    # diag(d) + D is DQ at d = tr and -DL at d = -tr
     rng = random.Random(5)
     for _ in range(25):
         g = random_connected(rng.randrange(2, 8), rng)
-        tr = transmission_vector(g)
-        assert generalized_distance_matrix(g, [0] * g.n) == distance_matrix(g)
-        assert generalized_distance_matrix(g, tr) == build_matrix(g, MatrixKind.DQ)
-        neg = generalized_distance_matrix(g, [-t for t in tr])
+        tr = transmissions(g)
+        assert shifted_distances(g, tr) == build_matrix(g, MatrixKind.DQ)
+        neg = shifted_distances(g, [-t for t in tr])
         dl = build_matrix(g, MatrixKind.DL)
         assert [[-x for x in row] for row in neg] == dl
-
-
-def test_generalized_matrix_length_mismatch():
-    with pytest.raises(ValueError):
-        generalized_distance_matrix(P3, [1, 2])
 
 
 def test_matrix_identities():
@@ -125,7 +133,7 @@ def test_matrix_identities():
         dl = build_matrix(g, MatrixKind.DL)
         dq = build_matrix(g, MatrixKind.DQ)
         dist = distance_matrix(g)
-        tr = transmission_vector(g)
+        tr = transmissions(g)
         for i in range(n):
             assert sum(dl[i]) == 0
             for j in range(n):
