@@ -23,11 +23,9 @@ from snfcensus.gen import (
     canonical_form,
     complete_bipartite_graph,
     complete_graph,
-    cycle_graph,
     enumerate_connected,
     enumerate_trees,
     graph6_file_stream,
-    path_graph,
 )
 from snfcensus.graphio import (
     Graph,
@@ -36,7 +34,6 @@ from snfcensus.graphio import (
     Graph6LengthError,
     Graph6SizeError,
     graph_from_edges,
-    is_connected,
     parse_graph6,
     write_graph6,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "graph_from_edges",
     "parse_graph6",
     "write_graph6",
-    "is_connected",
     "MatrixKind",
     "DisconnectedGraphError",
     "adjacency_matrix",
@@ -83,8 +79,6 @@ __all__ = [
     "graph6_file_stream",
     "build_connected_catalog",
     "complete_graph",
-    "path_graph",
-    "cycle_graph",
     "complete_bipartite_graph",
     "InvariantSpec",
     "InvariantType",

@@ -28,7 +28,13 @@ from .gen import (
     enumerate_trees,
     graph6_file_stream,
 )
-from .graphio import Graph6Error, _graph6_records, parse_graph6, write_graph6
+from .graphio import (
+    Graph6Error,
+    _graph6_records,
+    _nonzero_padding,
+    parse_graph6,
+    write_graph6,
+)
 from .matrices import DisconnectedGraphError, MatrixKind, build_matrix
 from .theorems import (
     EXPECTED_D_COSPECTRAL_PAIRS,
@@ -207,12 +213,19 @@ def _cmd_verify_complete(args, parser) -> int:
 
 def _cmd_verify_dq(args, parser) -> int:
     source = None
+    file_streams = []
     if args.input is not None:
         def source(n, _path=args.input):
             if n <= ENUM_MAX_N:
                 return enumerate_connected(n)
-            return graph6_file_stream(_path, expect_n=n)
+            stream = graph6_file_stream(_path, expect_n=n)
+            file_streams.append(stream)
+            return stream
     rep = verify_dq_characterization(args.max_n, source=source)
+    if args.input is not None:
+        dirty = sum(s.padding_warnings for s in file_streams)
+        print(f"{args.input}: {dirty} records with nonzero graph6 padding bits",
+              file=sys.stderr)
     ok = True
     for row in rep.rows:
         note = "" if row.asserted else "  (informational)"
@@ -241,6 +254,9 @@ def _cmd_per_record(args) -> int:
             m = build_matrix(g, args.kind)
         except (Graph6Error, DisconnectedGraphError) as exc:
             raise type(exc)(f"record {recno}: {exc}") from None
+        if _nonzero_padding(record):
+            print(f"warning: record {recno}: nonzero graph6 padding bits",
+                  file=sys.stderr)
         if args.command == "matrix":
             if not first:
                 print()

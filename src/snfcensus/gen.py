@@ -1,14 +1,15 @@
 """Isomorph-free generation of connected graphs and free trees.
 
-One vertex-extension loop, ``_extend``, makes every class on n
-vertices: it attaches a new vertex to every subset of each class on
-n-1 vertices and deduplicates through ``canonical_form``.  This is
-complete, because deleting the highest vertex of any n-vertex graph
-leaves some (n-1)-vertex class.  The parents are the catalog of *all*
-graphs on n-1 vertices, grown by the same loop.  For connected classes
-the loop keeps only neighbourhoods that meet every component of the
-parent: exactly those children are connected, and every connected
-graph is such a child of the graph left by deleting its highest vertex.
+One vertex-extension loop, ``_extend``, makes every connected class on
+n vertices: it joins a new vertex to every nonempty vertex set of each
+connected class on n-1 vertices and deduplicates through
+``canonical_form``.  Every child is connected, because the new vertex
+has a neighbour in a connected parent.  The loop is complete, because
+every connected graph on n >= 2 vertices has a vertex that is not a
+cut vertex -- any leaf of a spanning tree.  Deleting it leaves a
+connected graph on n-1 vertices, which is isomorphic to some parent,
+and the graph is that parent's child by the deleted vertex's
+neighbourhood.
 
 Free trees come from the level-sequence successor generator
 (Wright/Richmond/Odlyzko/McKay) as implemented by networkx, which
@@ -28,7 +29,6 @@ import networkx as nx
 from snfcensus.graphio import (
     Graph,
     Graph6Error,
-    _bfs_frontiers,
     _graph6_records,
     _nonzero_padding,
     graph_from_edges,
@@ -55,12 +55,10 @@ def _refine(adj: tuple[int, ...], n: int) -> list[list[int]]:
         for v in range(n):
             nb = []
             r = adj[v]
-            u = 0
             while r:
-                if r & 1:
-                    nb.append(colors[u])
-                r >>= 1
-                u += 1
+                low = r & -r
+                nb.append(colors[low.bit_length() - 1])
+                r ^= low
             nb.sort()
             names.append((colors[v], tuple(nb)))
         rank = {nm: i for i, nm in enumerate(sorted(set(names)))}
@@ -161,55 +159,36 @@ def canonical_form(g: Graph) -> bytes:
 class GraphStream:
     """Restartable stream of graphs, one per isomorphism class.
 
-    ``emitted`` counts the graphs yielded by the most recent (or
-    ongoing) iteration, and ``padding_warnings`` the graph6 records of
-    that iteration whose padding bits were not zero; iterating again
-    restarts the source.
+    ``padding_warnings`` counts the graph6 records of the most recent
+    (or ongoing) iteration whose padding bits were not zero; iterating
+    again restarts the source.
     """
 
     def __init__(self, source: str, n: int, factory: Callable[[], Iterator[Graph]]):
         self.source = source
         self.n = n
-        self.emitted = 0
         self.padding_warnings = 0
         self._factory = factory
 
     def __iter__(self) -> Iterator[Graph]:
-        self.emitted = 0
         self.padding_warnings = 0
-        for g in self._factory():
-            self.emitted += 1
-            yield g
+        yield from self._factory()
 
     def __repr__(self) -> str:
-        return f"GraphStream({self.source!r}, n={self.n}, emitted={self.emitted})"
+        return f"GraphStream({self.source!r}, n={self.n})"
 
 
-def _component_masks(g: Graph) -> list[int]:
-    masks = []
-    remaining = (1 << g.n) - 1
-    while remaining:
-        # frontiers are disjoint, so their sum is their union
-        component = sum(_bfs_frontiers(g.adj, remaining & -remaining))
-        masks.append(component)
-        remaining &= ~component
-    return masks
-
-
-def _extend(n: int, connected: bool) -> list[bytes]:
-    """Sorted canonical graph6 bytes of every class on n vertices, or
-    of every connected class, made by adding vertex n-1 to each class
-    on n-1 vertices."""
+def _extend(n: int) -> list[bytes]:
+    """Sorted canonical graph6 bytes of every connected class on n
+    vertices, made by joining vertex n-1 to each nonempty vertex set of
+    each connected class on n-1 vertices."""
     if n == 1:
         return [write_graph6(Graph(1, (0,)))]
     found: set[bytes] = set()
     hi = 1 << (n - 1)
-    for parent in _catalog(n - 1, False):
-        comps = _component_masks(parent) if connected else ()
+    for parent in _catalog(n - 1):
         base = parent.adj
-        for mask in range(hi):
-            if not all(mask & cm for cm in comps):
-                continue
+        for mask in range(1, hi):
             rows = [row | hi if mask >> u & 1 else row
                     for u, row in enumerate(base)]
             rows.append(mask)
@@ -218,9 +197,9 @@ def _extend(n: int, connected: bool) -> list[bytes]:
 
 
 @lru_cache(maxsize=None)
-def _catalog(n: int, connected: bool) -> tuple[Graph, ...]:
-    """``_extend(n, connected)`` parsed, kept for the life of the process."""
-    return tuple(parse_graph6(rec) for rec in _extend(n, connected))
+def _catalog(n: int) -> tuple[Graph, ...]:
+    """``_extend(n)`` parsed, kept for the life of the process."""
+    return tuple(parse_graph6(rec) for rec in _extend(n))
 
 
 def enumerate_connected(n: int) -> GraphStream:
@@ -232,7 +211,7 @@ def enumerate_connected(n: int) -> GraphStream:
             f"built-in enumeration covers 1 <= n <= {ENUM_MAX_N}; "
             f"use a graph6 file for n = {n}")
     return GraphStream(f"connected(n={n})", n,
-                       lambda: iter(_catalog(n, True)))
+                       lambda: iter(_catalog(n)))
 
 
 def enumerate_trees(n: int) -> GraphStream:
@@ -297,7 +276,7 @@ def build_connected_catalog(n: int, path: str) -> int:
     """
     if not 2 <= n <= CANONICAL_MAX_N - 1:
         raise ValueError(f"catalog building supported for 2 <= n <= {CANONICAL_MAX_N - 1}")
-    found = _extend(n, True)
+    found = _extend(n)
     # write beside the target and rename, so a killed build never
     # leaves a truncated catalog under the final name
     fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=".catalog-",
@@ -318,16 +297,6 @@ def build_connected_catalog(n: int, path: str) -> int:
 
 def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:

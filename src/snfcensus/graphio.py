@@ -6,8 +6,8 @@ triangle of the adjacency matrix.  The triangle is read column by
 column -- bit x(i, j) for j = 1..n-1, i = 0..j-1 -- and packed
 big-endian into 6-bit groups, each emitted as one byte with 63 added.
 Unused padding bits in the final group must be zero in canonical
-output; nonzero padding on input is tolerated, and file streams count
-the records that carry it.
+output; nonzero padding on input is tolerated, file streams count the
+records that carry it, and the per-record commands warn on each.
 """
 
 from __future__ import annotations
@@ -164,25 +164,3 @@ def write_graph6(g: Graph) -> bytes:
     if nbits:
         out.append((acc << (6 - nbits)) + 63)
     return bytes(out)
-
-
-def _bfs_frontiers(adj: tuple[int, ...], start: int) -> Iterator[int]:
-    """Breadth-first search over adjacency bitsets: yields the vertex
-    set at distance 0, 1, 2, ... from the bitset ``start`` until the
-    search stops growing.  The frontiers are disjoint, and together
-    they are everything reachable from ``start``."""
-    seen = frontier = start
-    while frontier:
-        yield frontier
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-
-
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from vertex 0 covers all vertices."""
-    return sum(_bfs_frontiers(g.adj, 1)) == (1 << g.n) - 1

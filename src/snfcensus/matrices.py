@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 
-from snfcensus.graphio import Graph, _bfs_frontiers
+from snfcensus.graphio import Graph
 
 
 class DisconnectedGraphError(ValueError):
@@ -41,20 +41,29 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:
-    """All-pairs shortest paths by one BFS per source over the bitsets."""
+    """All-pairs shortest paths by one BFS per source over the bitsets.
+
+    One walk over the set bits of each frontier writes their distance
+    and gathers the next frontier from their neighbourhoods."""
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
     out = []
     for src in range(n):
         row = [0] * n
-        seen = 0
-        for dist, frontier in enumerate(_bfs_frontiers(adj, 1 << src)):
-            seen |= frontier
+        seen = frontier = 1 << src
+        dist = 0
+        while frontier:
+            nxt = 0
             while frontier:
                 low = frontier & -frontier
-                row[low.bit_length() - 1] = dist
+                v = low.bit_length() - 1
+                row[v] = dist
+                nxt |= adj[v]
                 frontier ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            dist += 1
         if seen != full:
             unreached = full & ~seen
             missing = (unreached & -unreached).bit_length() - 1

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import networkx as nx
+
 from snfcensus.graphio import Graph, graph_from_edges
 
 # ---------------------------------------------------------------- graph6
@@ -190,6 +192,13 @@ def snf_by_minor_gcds(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
         deltas.append(g)
     factors = tuple(deltas[k] // deltas[k - 1] for k in range(1, len(deltas)))
     return factors, n - len(factors)
+
+
+def is_connected(g: Graph) -> bool:
+    """Connectivity by networkx, isolated vertices included."""
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    return nx.is_connected(h)
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:

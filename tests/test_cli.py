@@ -7,7 +7,7 @@ import tempfile
 
 import pytest
 
-from snfcensus import census
+from snfcensus import census, cli
 from snfcensus.cli import main
 from snfcensus.gen import enumerate_connected
 from snfcensus.graphio import write_graph6
@@ -159,6 +159,19 @@ class TestVerifyCommand:
         assert "(informational)" in out
         assert "bipartite" in out
 
+    def test_dq_input_reports_dirty_padding(self, capsys, monkeypatch,
+                                            tmp_path):
+        # read order 5 from the file; its last data byte has two padding bits
+        monkeypatch.setattr(cli, "ENUM_MAX_N", 4)
+        recs = [write_graph6(g) for g in enumerate_connected(5)]
+        recs[3] = recs[3][:-1] + bytes([recs[3][-1] + 1])
+        p = tmp_path / "c5.g6"
+        p.write_bytes(b"\n".join(recs) + b"\n")
+        code, out, err = run(capsys, "verify", "dq-characterization",
+                             "--max-n", "5", "--input", str(p))
+        assert code == 0 and "n=5 universe=21" in out
+        assert err == f"{p}: 1 records with nonzero graph6 padding bits\n"
+
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "trees", "--checks", "nonsense"])
@@ -198,6 +211,25 @@ class TestPerRecordCommands:
         code, out, _ = run(capsys, "snf", "--kind", "A", "-")
         assert code == 0
         assert out == "1 1 2\n1 1 0\n"
+
+    @pytest.mark.parametrize("command,want", [
+        ("matrix", "0 1 1\n1 0 1\n1 1 0\n"),
+        ("snf", "1 1 2\n"),
+        ("charpoly", "-2 -3 0 1\n"),
+    ])
+    def test_dirty_padding_warns(self, capsys, command, want):
+        # 'Bx' is K3 with a padding bit set
+        code, out, err = run(capsys, command, "--kind", "A", "Bx")
+        assert code == 0 and out == want
+        assert err == "warning: record 1: nonzero graph6 padding bits\n"
+
+    def test_stdin_dirty_padding_warns_per_record(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(b"Bx\nBw\n")))
+        code, out, err = run(capsys, "snf", "--kind", "A", "-")
+        assert code == 0
+        assert out == "1 1 2\n1 1 2\n"
+        assert err == "warning: record 1: nonzero graph6 padding bits\n"
 
     def test_bad_record_exits_3(self, capsys):
         code, _, err = run(capsys, "charpoly", "--kind", "A", "!!!")

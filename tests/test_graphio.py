@@ -2,20 +2,18 @@
 
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from snfcensus.gen import _component_masks, graph6_file_stream
+from snfcensus.gen import graph6_file_stream
 from snfcensus.graphio import (
     Graph,
     Graph6ByteError,
     Graph6LengthError,
     Graph6SizeError,
     graph_from_edges,
-    is_connected,
     parse_graph6,
     write_graph6,
 )
@@ -171,28 +169,3 @@ class TestGraphType:
         assert g.degrees() == (1, 2, 2, 1)
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
         assert g.edge_count() == 3
-
-
-class TestConnectivity:
-    def test_k3(self):
-        assert is_connected(K3)
-
-    def test_two_isolated(self):
-        assert not is_connected(graph_from_edges(2, []))
-
-    def test_path_and_split(self):
-        assert is_connected(graph_from_edges(5, [(i, i + 1) for i in range(4)]))
-        assert not is_connected(graph_from_edges(4, [(0, 1), (2, 3)]))
-
-    def test_single_vertex(self):
-        assert is_connected(graph_from_edges(1, []))
-
-    def test_matches_networkx_on_all_7_vertex_graphs(self):
-        atlas = [a for a in nx.graph_atlas_g() if a.number_of_nodes() == 7]
-        assert len(atlas) == 1044
-        for a in atlas:
-            g = graph_from_edges(7, a.edges())
-            assert is_connected(g) == nx.is_connected(a)
-            want = {sum(1 << v for v in c) for c in nx.connected_components(a)}
-            masks = _component_masks(g)
-            assert len(masks) == len(want) and set(masks) == want

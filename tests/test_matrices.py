@@ -2,11 +2,11 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 import oracles
-from snfcensus.gen import enumerate_connected
-from snfcensus.graphio import graph_from_edges, is_connected
+from snfcensus.graphio import graph_from_edges
 from snfcensus.matrices import (
     DisconnectedGraphError,
     MatrixKind,
@@ -28,7 +28,7 @@ def random_connected(n, rng):
     while True:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
         g = graph_from_edges(n, edges)
-        if is_connected(g):
+        if oracles.is_connected(g):
             return g
 
 
@@ -69,8 +69,22 @@ def test_distance_matches_floyd_warshall():
     for _ in range(60):
         g = random_connected(rng.randrange(2, 10), rng)
         assert distance_matrix(g) == oracles.floyd_warshall(g)
-    for g in enumerate_connected(7):
-        assert distance_matrix(g) == oracles.floyd_warshall(g)
+
+
+def test_raises_exactly_on_disconnected_7_vertex_graphs():
+    atlas = [a for a in nx.graph_atlas_g() if a.number_of_nodes() == 7]
+    assert len(atlas) == 1044
+    disconnected = 0
+    for a in atlas:
+        g = graph_from_edges(7, a.edges())
+        want = oracles.floyd_warshall(g)
+        if any(x >= 10**9 for row in want for x in row):
+            disconnected += 1
+            with pytest.raises(DisconnectedGraphError):
+                distance_matrix(g)
+        else:
+            assert distance_matrix(g) == want
+    assert disconnected == 191
 
 
 def test_disconnected_raises():

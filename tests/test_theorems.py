@@ -11,8 +11,8 @@ from snfcensus.gen import (
     complete_bipartite_graph,
     complete_graph,
     enumerate_trees,
-    path_graph,
 )
+from snfcensus.graphio import graph_from_edges
 from snfcensus.matrices import MatrixKind, build_matrix, distance_matrix
 from snfcensus.theorems import (
     EXPECTED_D_COSPECTRAL_PAIRS,
@@ -176,5 +176,5 @@ class TestDqCharacterization:
         star = complete_bipartite_graph(2, 1)
         res = snf(build_matrix(star, MatrixKind.DQ))
         assert res == SnfResult((1, 1, 8), 0)
-        path = path_graph(3)
+        path = graph_from_edges(3, [(0, 1), (1, 2)])
         assert snf(build_matrix(path, MatrixKind.DQ)) == res
