@@ -7,7 +7,6 @@ from snfcensus.census import (
     InvariantType,
     SpecResult,
     emit_report,
-    key_of,
     parse_spec,
     run_census,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "CensusReport",
     "CensusError",
     "parse_spec",
-    "key_of",
     "run_census",
     "emit_report",
     "expected_tree_distance_snf",

@@ -123,12 +123,6 @@ def _part_keys(g: Graph, kinds: list[tuple[MatrixKind, list[Part]]]) -> dict[Par
     return keys
 
 
-def key_of(g: Graph, spec: InvariantSpec) -> bytes:
-    """Canonical census key: concatenation of the part encodings."""
-    keys = _part_keys(g, _group_by_kind(spec.parts))
-    return b"".join(keys[p] for p in spec.parts)
-
-
 @dataclass(frozen=True)
 class SpecResult:
     spec: str

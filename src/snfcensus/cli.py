@@ -83,9 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     vq = versub.add_parser("dq-characterization",
                            help="unit-factor dichotomy scan")
     vq.add_argument("--max-n", type=int, default=8)
-    vq.add_argument("--input", metavar="FILE",
-                    help="graph6 catalog for orders above "
-                         f"{ENUM_MAX_N} (expects records of that order)")
+    vq.add_argument("--input", metavar="FILE", action="append", default=[],
+                    help="graph6 catalog of one order, read from its first"
+                         " record (repeatable; needed for each order above"
+                         f" {ENUM_MAX_N})")
 
     for name, what in (("matrix", "print the matrix, one row per line"),
                        ("snf", "print the Smith normal form diagonal"),
@@ -212,20 +213,27 @@ def _cmd_verify_complete(args, parser) -> int:
 
 
 def _cmd_verify_dq(args, parser) -> int:
-    source = None
-    file_streams = []
-    if args.input is not None:
-        def source(n, _path=args.input):
-            if n <= ENUM_MAX_N:
-                return enumerate_connected(n)
-            stream = graph6_file_stream(_path, expect_n=n)
-            file_streams.append(stream)
-            return stream
-    rep = verify_dq_characterization(args.max_n, source=source)
-    if args.input is not None:
-        dirty = sum(s.padding_warnings for s in file_streams)
-        print(f"{args.input}: {dirty} records with nonzero graph6 padding bits",
-              file=sys.stderr)
+    files = {}
+    for path in args.input:
+        stream = graph6_file_stream(path)
+        if stream.n in files:
+            parser.error(f"--input {files[stream.n].source} and {path}"
+                         f" both hold order {stream.n}")
+        if not 2 <= stream.n <= args.max_n:
+            parser.error(f"--input {path} holds order {stream.n},"
+                         f" outside 2..{args.max_n}")
+        files[stream.n] = stream
+    missing = [n for n in range(ENUM_MAX_N + 1, args.max_n + 1)
+               if n not in files]
+    if missing:
+        parser.error("--input needs a file for each order above"
+                     f" {ENUM_MAX_N}; none for {missing}")
+    rep = verify_dq_characterization(
+        args.max_n,
+        source=lambda n: files[n] if n in files else enumerate_connected(n))
+    for stream in files.values():
+        print(f"{stream.source}: {stream.padding_warnings} records with"
+              " nonzero graph6 padding bits", file=sys.stderr)
     ok = True
     for row in rep.rows:
         note = "" if row.asserted else "  (informational)"

@@ -6,6 +6,9 @@ entries; nothing in this module touches floating point.  Two graphs
 are cospectral exactly when these integer characteristic polynomials
 are equal, and coinvariant exactly when the invariant-factor lists
 agree, so both routines must be exact rather than approximate.
+Both eliminations -- fraction-free Bareiss for ranks, minors and
+determinants, and ``snf``'s pass modulo a minor -- choose pivots by
+one rule, ``_pivot_to``.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ class CharPoly:
     """Coefficients c_0..c_n (ascending) of the monic det(xI - M)."""
 
     coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.coeffs)
@@ -55,12 +54,34 @@ def _check_square(m: Matrix) -> int:
     return n
 
 
+def _pivot_to(a: Matrix, t: int) -> int:
+    """Swap the first nonzero entry of the trailing block a[t:][t:], in
+    row-major order, to (t, t).  Returns the sign of the permutation,
+    or 0 when the block is zero."""
+    n = len(a)
+    for i in range(t, n):
+        ai = a[i]
+        for j in range(t, n):
+            if ai[j]:
+                sign = 1
+                if i != t:
+                    a[t], a[i] = ai, a[t]
+                    sign = -sign
+                if j != t:
+                    for row in a:
+                        row[t], row[j] = row[j], row[t]
+                    sign = -sign
+                return sign
+    return 0
+
+
 def _bareiss(a: Matrix) -> tuple[int, int]:
     """Fraction-free (Bareiss) elimination of ``a`` in place.
 
-    Step t takes as pivot the first nonzero entry of the trailing block
-    in row-major order and swaps it to (t, t); every intermediate entry
-    is itself a minor of the input, so growth stays polynomial and each
+    Step t keeps a nonzero (t, t) as its pivot and otherwise calls
+    ``_pivot_to``; either way the pivot is the first nonzero entry of
+    the trailing block in row-major order.  Every intermediate entry is
+    itself a minor of the input, so growth stays polynomial and each
     division is exact.  Stops when the trailing block is zero.  Returns
     the rank r and the last pivot, which is the determinant of an
     r x r submatrix, signed so that it is the determinant of the input
@@ -70,24 +91,11 @@ def _bareiss(a: Matrix) -> tuple[int, int]:
     prev = sign = 1
     r = 0
     for t in range(n):
-        pr = pc = -1
-        for i in range(t, n):
-            ai = a[i]
-            for j in range(t, n):
-                if ai[j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
+        if not a[t][t]:
+            s = _pivot_to(a, t)
+            if not s:
                 break
-        if pr < 0:
-            break
-        if pr != t:
-            a[t], a[pr] = a[pr], a[t]
-            sign = -sign
-        if pc != t:
-            for rowv in a:
-                rowv[t], rowv[pc] = rowv[pc], rowv[t]
-            sign = -sign
+            sign *= s
         at = a[t]
         p = at[t]
         rest = range(t + 1, n)
@@ -173,45 +181,30 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _diagonalize_mod(a: list[list[int]], d: int) -> list[int]:
-    """Diagonalize working modulo d; the implicit lattice is
-    rowspan + d*Z^n, so reducing any entry by d is a free row
-    operation and nothing ever outgrows d."""
+def _diagonalize_mod(a: Matrix, d: int) -> list[int]:
+    """Diagonalize ``a`` in place modulo d and return the diagonal.
+
+    The implicit lattice is rowspan + d*Z^n, so reducing an entry by d
+    is a free row operation and nothing outgrows d.  Row operations
+    clear column t, taking an extended gcd with row t where the pivot p
+    does not divide.  Column t is then zero below p, so a column
+    operation by a multiple of column t would change only row t:
+    entries of row t that p divides can be dropped as they are.  If
+    one is not divisible, the trailing block is transposed, which keeps
+    its invariant factors, and column t is cleared again; the gcd with
+    that entry makes p strictly smaller, so the rounds end.
+    """
     n = len(a)
     for row in a:
         for j in range(n):
             row[j] %= d
-    half = d >> 1
     diag: list[int] = []
     for t in range(n):
-        # minimal symmetric-magnitude nonzero pivot in the trailing block
-        pr = pc = -1
-        best = d
-        for i in range(t, n):
-            ai = a[i]
-            for j in range(t, n):
-                x = ai[j]
-                if x:
-                    if x > half:
-                        x = d - x
-                    if x < best:
-                        best = x
-                        pr, pc = i, j
-                        if x == 1:
-                            break
-            if best == 1:
-                break
-        if pr < 0:
-            break  # trailing block vanished mod d
-        if pr != t:
-            a[t], a[pr] = a[pr], a[t]
-        if pc != t:
-            for rowv in a:
-                rowv[t], rowv[pc] = rowv[pc], rowv[t]
+        if not a[t][t] and not _pivot_to(a, t):
+            return diag + [0] * (n - t)  # trailing block vanished mod d
         while True:
             at = a[t]
             p = at[t]
-            dirty = False
             for i in range(t + 1, n):  # clear column t with row ops
                 ai = a[i]
                 x = ai[t]
@@ -230,46 +223,27 @@ def _diagonalize_mod(a: list[list[int]], d: int) -> list[int]:
                         at[j] = (u * s + v * w) % d
                         ai[j] = (pg * w - xg * s) % d
                     p = g
-            for j in range(t + 1, n):  # clear row t with column ops
-                x = at[j]
-                if not x:
-                    continue
-                if x % p == 0:
-                    q = x // p
-                    for i in range(t, n):
-                        ai = a[i]
-                        ai[j] = (ai[j] - q * ai[t]) % d
-                else:
-                    g, u, v = _xgcd(p, x)
-                    pg = p // g
-                    xg = x // g
-                    for i in range(t, n):
-                        ai = a[i]
-                        s, w = ai[t], ai[j]
-                        ai[t] = (u * s + v * w) % d
-                        ai[j] = (pg * w - xg * s) % d
-                    p = g
-                    dirty = True  # the column ops can refill column t
-            if not dirty:
+            if all(at[j] % p == 0 for j in range(t + 1, n)):
                 break
-        diag.append(a[t][t])
-    while len(diag) < n:
-        diag.append(0)
+            for i in range(t, n):  # transpose the trailing block
+                ai = a[i]
+                for j in range(i + 1, n):
+                    ai[j], a[j][i] = a[j][i], ai[j]
+        diag.append(p)
     return diag
 
 
 def snf(m: Matrix) -> SnfResult:
     """Smith normal form over the integers.
 
-    First pass: fraction-free elimination finds the rank r and one
-    nonzero r x r minor d.  Since every invariant factor divides d,
-    the lattice spanned by the rows together with d*Z^n has invariant
-    factors (f_1, ..., f_r, d, ..., d); the second pass diagonalizes
-    with all arithmetic modulo d -- minimal-magnitude pivots, row and
-    column combinations -- so entries never exceed d.  A final gcd/lcm
-    pass over adjacent pairs enforces f_i | f_{i+1} regardless of
-    pivot order.  Factors are reported positive; zero diagonal entries
-    live in ``zeros``.
+    First pass: ``_bareiss`` finds the rank r and one nonzero r x r
+    minor d.  Since every invariant factor divides d, the lattice
+    spanned by the rows together with d*Z^n has invariant factors
+    (f_1, ..., f_r, d, ..., d); the second pass, ``_diagonalize_mod``,
+    works modulo d, so entries never exceed d.  Its diagonal need not
+    be a divisibility chain, so a final gcd/lcm pass over adjacent
+    pairs enforces f_i | f_{i+1}.  Factors are reported positive; zero
+    diagonal entries live in ``zeros``.
     """
     n = _check_square(m)
     r, d = _bareiss([list(row) for row in m])

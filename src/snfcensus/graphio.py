@@ -46,22 +46,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
-            row = self.adj[v] >> (v + 1)
-            u = v + 1
+            row = self.adj[v] >> (v + 1) << (v + 1)  # neighbours above v
             while row:
-                if row & 1:
-                    out.append((v, u))
-                row >>= 1
-                u += 1
+                low = row & -row
+                out.append((v, low.bit_length() - 1))
+                row ^= low
         return out
 
     def edge_count(self) -> int:

@@ -16,7 +16,6 @@ from snfcensus.census import (
     SpecResult,
     _iter_spec_keys,
     emit_report,
-    key_of,
     parse_spec,
     part_key,
     run_census,
@@ -27,6 +26,11 @@ from snfcensus.graphio import graph_from_edges, write_graph6
 from snfcensus.matrices import MatrixKind, build_matrix
 
 K3 = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
+
+
+def spec_key(g, spec):
+    """The census key of ``g``: its part keys joined in spec order."""
+    return b"".join(part_key(g, p) for p in spec.parts)
 
 
 def list_stream(graphs, n):
@@ -60,15 +64,15 @@ class TestKeys:
         a = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
         b = graph_from_edges(3, [(2, 1), (2, 0), (1, 0)])
         for spec in ("A:sp", "D:in", "DL:sp,DQ:in"):
-            assert key_of(a, parse_spec(spec)) == key_of(b, parse_spec(spec))
+            assert spec_key(a, parse_spec(spec)) == spec_key(b, parse_spec(spec))
 
     def test_key_reflects_invariant_values(self):
         g = K3
         spec = parse_spec("A:sp")
-        key = key_of(g, spec)
+        key = spec_key(g, spec)
         # a graph with a different spectrum gets a different key
         h = graph_from_edges(3, [(0, 1), (1, 2)])
-        assert key != key_of(h, spec)
+        assert key != spec_key(h, spec)
 
     def test_part_tags_disambiguate(self):
         # same matrix, different invariant type: keys must differ
@@ -82,14 +86,14 @@ class TestKeys:
         # (1, 14) vs (11, 4) style confusions must not collide
         a = graph_from_edges(2, [(0, 1)])
         spec = parse_spec("A:sp")
-        k = key_of(a, spec)
+        k = spec_key(a, spec)
         assert k.startswith(b"a")
         assert b"2:-1" in k  # c_0 = det-sign term for K_2 adjacency
 
     def test_duplicated_part_same_buckets(self):
         graphs = list(enumerate_connected(5))
-        once = Counter(key_of(g, parse_spec("A:sp")) for g in graphs)
-        twice = Counter(key_of(g, parse_spec("A:sp,A:sp")) for g in graphs)
+        once = Counter(spec_key(g, parse_spec("A:sp")) for g in graphs)
+        twice = Counter(spec_key(g, parse_spec("A:sp,A:sp")) for g in graphs)
         assert sorted(once.values()) == sorted(twice.values())
 
 
@@ -125,7 +129,7 @@ class TestRunCensus:
 
     def test_unique_q_cospectral_pair_on_5(self):
         graphs = list(enumerate_connected(5))
-        counter = Counter(key_of(g, parse_spec("Q:sp")) for g in graphs)
+        counter = Counter(spec_key(g, parse_spec("Q:sp")) for g in graphs)
         sizes = sorted(counter.values(), reverse=True)
         assert sizes[0] == 2 and sizes[1] == 1  # exactly one mate bucket
 
@@ -162,10 +166,10 @@ class TestRunCensus:
         # partition-then-merge equals single-pass counting
         graphs = list(enumerate_connected(6))
         spec = parse_spec("Q:sp")
-        whole = Counter(key_of(g, spec) for g in graphs)
+        whole = Counter(spec_key(g, spec) for g in graphs)
         merged = Counter()
         for lo in range(0, len(graphs), 17):
-            merged.update(Counter(key_of(g, spec) for g in graphs[lo:lo + 17]))
+            merged.update(Counter(spec_key(g, spec) for g in graphs[lo:lo + 17]))
         assert merged == whole
 
     def test_refinement_monotonicity(self):
@@ -184,7 +188,7 @@ class TestRunCensus:
             buckets: dict[bytes, list] = {}
             for g in graphs:
                 res = snf(build_matrix(g, kind))
-                buckets.setdefault(key_of(g, parse_spec(f"{kind.value}:in")), []).append(res)
+                buckets.setdefault(spec_key(g, parse_spec(f"{kind.value}:in")), []).append(res)
             for group in buckets.values():
                 if len(group) >= 2:
                     first = group[0]
@@ -224,8 +228,8 @@ class TestRunCensus:
     def test_two_pass_catches_changed_stream(self):
         graphs = list(enumerate_connected(7))
         spec = parse_spec("DL:sp")
-        sizes = Counter(key_of(g, spec) for g in graphs)
-        hot = next(g for g in graphs if sizes[key_of(g, spec)] >= 2)
+        sizes = Counter(spec_key(g, spec) for g in graphs)
+        hot = next(g for g in graphs if sizes[spec_key(g, spec)] >= 2)
         passes = iter([graphs, [hot] * len(graphs)])
         stream = GraphStream("changing", 7, lambda: iter(next(passes)))
         with pytest.raises(CensusError, match="changed between passes"):

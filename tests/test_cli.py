@@ -172,6 +172,45 @@ class TestVerifyCommand:
         assert code == 0 and "n=5 universe=21" in out
         assert err == f"{p}: 1 records with nonzero graph6 padding bits\n"
 
+    @staticmethod
+    def _catalog_files(tmp_path, orders):
+        paths = []
+        for k, n in enumerate(orders):
+            p = tmp_path / f"c{n}-{k}.g6"
+            p.write_bytes(b"".join(write_graph6(g) + b"\n"
+                                   for g in enumerate_connected(n)))
+            paths.append(str(p))
+        return paths
+
+    def test_dq_input_one_file_per_order(self, capsys, monkeypatch,
+                                         tmp_path):
+        # each file's order comes from its first record, not its position
+        monkeypatch.setattr(cli, "ENUM_MAX_N", 4)
+        paths = self._catalog_files(tmp_path, (6, 5))
+        code, out, err = run(capsys, "verify", "dq-characterization",
+                             "--max-n", "6", "--input", paths[0],
+                             "--input", paths[1])
+        assert code == 0
+        assert "n=5 universe=21" in out and "n=6 universe=112" in out
+        assert err == "".join(f"{p}: 0 records with nonzero graph6 padding"
+                              " bits\n" for p in paths)
+
+    @pytest.mark.parametrize("orders", [(5,), (5, 6, 5), (5, 6, 7)],
+                             ids=["missing", "duplicate", "above-max-n"])
+    def test_dq_input_usage_errors(self, monkeypatch, tmp_path, orders):
+        monkeypatch.setattr(cli, "ENUM_MAX_N", 4)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(cli, "verify_dq_characterization", no_scan)
+        argv = ["verify", "dq-characterization", "--max-n", "6"]
+        for p in self._catalog_files(tmp_path, orders):
+            argv += ["--input", p]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "trees", "--checks", "nonsense"])

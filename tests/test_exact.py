@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen values, oracle agreement, properties."""
 
+import hashlib
 import math
 import random
 
@@ -16,6 +17,17 @@ D_P3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 DL_K4 = [[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]]
 DQ_K4 = [[3, 1, 1, 1], [1, 3, 1, 1], [1, 1, 3, 1], [1, 1, 1, 3]]
 D_K5 = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
+# SHA-1 of the lines "KIND SNF" for every connected graph on n vertices
+# (enumerate_connected order) under every matrix kind
+GRAPH_SNF_SHA1 = {
+    1: "43f5ad705ced2c2a5ea9ccca27fcee6ddd519604",
+    2: "1e9aa0d0f96fb60608723f623c192e6229eef745",
+    3: "11be4c5d2d4330eb815b184b5e912b25313dc9e2",
+    4: "c2cabd4bf02aee84cda71d524c94878d8be6aae5",
+    5: "76c4cb080e160d77f4a886e278983986607dcda6",
+    6: "b3b4b5e2d491421aa8242c59a8359b1709e9f4a1",
+    7: "90c9c54c1cf452c0289134e34d590d972b12bcab",
+}
 
 
 def random_matrix(n, rng, bound=9, symmetric=False):
@@ -158,6 +170,12 @@ class TestSnf:
                     for row in w:
                         row[i], row[j] = row[j], row[i]
             assert snf(w) == ref
+
+    @pytest.mark.parametrize("n,digest", sorted(GRAPH_SNF_SHA1.items()))
+    def test_graph_matrix_digest(self, n, digest):
+        lines = [f"{kind.value} {snf(build_matrix(g, kind))}"
+                 for g in enumerate_connected(n) for kind in MatrixKind]
+        assert hashlib.sha1("\n".join(lines).encode()).hexdigest() == digest
 
     def test_bad_padding_raises(self, monkeypatch):
         monkeypatch.setattr(exact, "_diagonalize_mod",
