@@ -248,15 +248,11 @@ def _cmd_verify_dq(args, parser) -> int:
     return 0 if ok else 1
 
 
-def _records_from(arg: str):
-    if arg == "-":
-        return _graph6_records(sys.stdin.buffer)
-    return [(1, arg.encode())]
-
-
 def _cmd_per_record(args) -> int:
+    stdin = args.record == "-"
     first = True
-    for recno, record in _records_from(args.record):
+    for recno, record in _graph6_records(
+            sys.stdin.buffer if stdin else [args.record.encode()]):
         try:
             g = parse_graph6(record)
             m = build_matrix(g, args.kind)
@@ -275,6 +271,8 @@ def _cmd_per_record(args) -> int:
         else:
             print(char_poly(m))
         first = False
+    if first and not stdin:
+        raise Graph6Error("record 1: empty record")
     return 0
 
 

@@ -11,6 +11,9 @@ connected graph on n-1 vertices, which is isomorphic to some parent,
 and the graph is that parent's child by the deleted vertex's
 neighbourhood.
 
+``canonical_form`` takes the least adjacency bit string over the vertex
+orderings that follow a colour refinement, twin classes in index order.
+
 Free trees come from the level-sequence successor generator
 (Wright/Richmond/Odlyzko/McKay) as implemented by networkx, which
 emits exactly one representative per class in sequence order.
@@ -75,10 +78,16 @@ def _refine(adj: tuple[int, ...], n: int) -> list[list[int]]:
 def canonical_form(g: Graph) -> bytes:
     """Canonical graph6 bytes: equal iff the graphs are isomorphic.
 
-    Minimizes the packed upper-triangle bit string over all vertex
-    orderings compatible with the refined partition.  The refinement
-    only narrows the search; correctness comes from exhausting the
-    within-cell orderings, so equal bytes always means isomorphic.
+    Returns ``g`` relabelled by the least of the vertex orderings that
+    follow the refined cells, compared by packed upper triangle.  The
+    search fills one position at a time: it extends every tied prefix
+    by each candidate vertex of that position's cell and keeps the
+    extensions whose new row is least.  Every prefix extends to a whole
+    ordering, so this level-by-level minimum is the lexicographic one.
+    Twins (neighbourhoods equal apart from each other) share a cell,
+    and swapping two is an automorphism, so a vertex is a candidate only
+    once its nearest lower-index twin is placed: twin classes go in
+    index order, and the minimum is unchanged.
     """
     n = g.n
     if n > CANONICAL_MAX_N:
@@ -91,64 +100,36 @@ def canonical_form(g: Graph) -> bytes:
         return write_graph6(g)  # empty or complete: every ordering agrees
 
     cells = _refine(adj, n)
-    cell_of_pos: list[int] = []
-    for ci, cell in enumerate(cells):
-        cell_of_pos.extend([ci] * len(cell))
+    twin_before = [0] * n  # bit of v's nearest lower-index twin, or 0
+    for cell in cells:
+        for k, v in enumerate(cell):
+            for u in cell[:k]:
+                if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                    twin_before[v] = 1 << u
 
-    best: list[int] | None = None
-    placed: list[int] = []
-    rows: list[int] = []
-    used = [False] * n
-
-    # state 0: prefix equals best's prefix (compare and prune);
-    # state -1: prefix already strictly below best (first leaf wins).
-    # A child that improves best returns True, which snaps the parent
-    # back to state 0 -- the new best now runs through this node.
-    def dfs(pos: int, state: int) -> bool:
-        nonlocal best
-        if pos == n:
-            if best is None or state == -1:
-                best = rows.copy()
-                return True
-            return False
-        updated = False
-        for v in cells[cell_of_pos[pos]]:
-            if used[v]:
-                continue
-            if pos:
-                av = adj[v]
-                r = 0
-                for u in placed:
-                    r = (r << 1) | ((av >> u) & 1)
-                if best is not None and state == 0:
-                    b = best[pos - 1]
-                    if r > b:
+    frontier = [((), 0)]  # tied prefixes: (vertices in order, their bitset)
+    rows = []  # row j: adjacency of position j to positions 0..j-1, 0 first
+    for cell in cells:
+        for _ in cell:
+            nxt = []
+            for prefix, placed in frontier:
+                for v in cell:
+                    if placed >> v & 1 or twin_before[v] & ~placed:
                         continue
-                    child_state = -1 if r < b else 0
-                else:
-                    child_state = -1
-            else:
-                child_state = state if best is not None else -1
-            used[v] = True
-            placed.append(v)
-            if pos:
-                rows.append(r)
-            if dfs(pos + 1, child_state):
-                updated = True
-                state = 0
-            if pos:
-                rows.pop()
-            placed.pop()
-            used[v] = False
-        return updated
-
-    dfs(0, 0)
-    assert best is not None
+                    av = adj[v]
+                    r = 0
+                    for u in prefix:
+                        r = r << 1 | av >> u & 1
+                    if not nxt or r < least:
+                        least, nxt = r, []
+                    if r == least:
+                        nxt.append((prefix + (v,), placed | 1 << v))
+            frontier = nxt
+            rows.append(least)
     out = [0] * n
-    for j in range(1, n):
-        rj = best[j - 1]
+    for j, rj in enumerate(rows):
         for i in range(j):
-            if (rj >> (j - 1 - i)) & 1:
+            if rj >> (j - 1 - i) & 1:
                 out[i] |= 1 << j
                 out[j] |= 1 << i
     return write_graph6(Graph(n, tuple(out)))
@@ -237,25 +218,24 @@ def graph6_file_stream(path: str, expect_n: int | None = None,
     messages when it differs from the path (e.g. spooled stdin)."""
     name = path if label is None else label
 
-    def records() -> Iterator[tuple[int, bytes]]:
+    def records() -> Iterator[tuple[int, bytes, Graph]]:
         with open(path, "rb") as fh:
-            yield from _graph6_records(fh)
+            for recno, line in _graph6_records(fh):
+                try:
+                    g = parse_graph6(line)
+                except Graph6Error as e:
+                    raise type(e)(f"{name} record {recno}: {e}") from None
+                yield recno, line, g
 
-    first_n = expect_n
-    if first_n is None:
-        for _, line in records():
-            first_n = parse_graph6(line).n
-            break
-        if first_n is None:
+    want = expect_n
+    if want is None:
+        first = next(records(), None)
+        if first is None:
             raise Graph6Error(f"{name}: no graph6 records found")
-    want = first_n
+        want = first[2].n
 
     def factory() -> Iterator[Graph]:
-        for recno, line in records():
-            try:
-                g = parse_graph6(line)
-            except Graph6Error as e:
-                raise type(e)(f"{name} record {recno}: {e}") from None
+        for recno, line, g in records():
             if g.n != want:
                 raise Graph6Error(
                     f"{name} record {recno}: n = {g.n}, expected {want}")

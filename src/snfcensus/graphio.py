@@ -43,21 +43,8 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj[u] >> v) & 1 == 1
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            row = self.adj[v] >> (v + 1) << (v + 1)  # neighbours above v
-            while row:
-                low = row & -row
-                out.append((v, low.bit_length() - 1))
-                row ^= low
-        return out
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

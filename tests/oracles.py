@@ -47,6 +47,12 @@ def naive_graph6_decode(record: bytes) -> tuple[int, set[tuple[int, int]]]:
 
 # ------------------------------------------------------- isomorphism
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges (u, v) with u < v, ordered by u then v, one bit test each."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if g.adj[u] >> v & 1]
+
+
 def graph_key(g: Graph) -> tuple:
     return (g.n, g.adj)
 
@@ -59,7 +65,7 @@ def brute_force_min_relabel(g: Graph) -> tuple:
         rows = [0] * n
         for u in range(n):
             for v in range(u + 1, n):
-                if g.has_edge(u, v):
+                if g.adj[u] >> v & 1:
                     pu, pv = perm[u], perm[v]
                     rows[pu] |= 1 << pv
                     rows[pv] |= 1 << pu
@@ -197,14 +203,14 @@ def snf_by_minor_gcds(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
 def is_connected(g: Graph) -> bool:
     """Connectivity by networkx, isolated vertices included."""
     h = nx.empty_graph(g.n)
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edges(g))
     return nx.is_connected(h)
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:
     big = 10**9
     n = g.n
-    d = [[0 if i == j else (1 if g.has_edge(i, j) else big) for j in range(n)] for i in range(n)]
+    d = [[0 if i == j else (1 if g.adj[i] >> j & 1 else big) for j in range(n)] for i in range(n)]
     for k in range(n):
         for i in range(n):
             dik = d[i][k]

@@ -172,6 +172,15 @@ class TestVerifyCommand:
         assert code == 0 and "n=5 universe=21" in out
         assert err == f"{p}: 1 records with nonzero graph6 padding bits\n"
 
+    def test_dq_input_bad_first_record_is_named(self, capsys, tmp_path):
+        # the first record is read to learn the file's order
+        p = tmp_path / "bad.g6"
+        p.write_bytes(b"Zbad\n")
+        code, _, err = run(capsys, "verify", "dq-characterization",
+                           "--max-n", "5", "--input", str(p))
+        assert code == 3
+        assert err == f"error: {p} record 1: truncated: 3 data bytes, need 59\n"
+
     @staticmethod
     def _catalog_files(tmp_path, orders):
         paths = []
@@ -250,6 +259,14 @@ class TestPerRecordCommands:
         code, out, _ = run(capsys, "snf", "--kind", "A", "-")
         assert code == 0
         assert out == "1 1 2\n1 1 0\n"
+
+    def test_argument_read_like_stdin(self, capsys):
+        # header prefix as on stdin; an argument with no record is an error
+        code, out, _ = run(capsys, "snf", "--kind", "A", ">>graph6<<Bw")
+        assert code == 0 and out == "1 1 2\n"
+        code, out, err = run(capsys, "snf", "--kind", "A", "")
+        assert code == 3 and out == ""
+        assert err == "error: record 1: empty record\n"
 
     @pytest.mark.parametrize("command,want", [
         ("matrix", "0 1 1\n1 0 1\n1 1 0\n"),

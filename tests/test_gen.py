@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import networkx as nx
@@ -44,6 +45,69 @@ def random_graph(n, rng, density=None):
     return graph_from_edges(n, edges)
 
 
+def relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in oracles.edges(g)])
+
+
+def cycle_edges(k, offset=0):
+    return [(offset + i, offset + (i + 1) % k) for i in range(k)]
+
+
+def clique_edges(k, offset=0):
+    return [(offset + i, offset + j) for i in range(k) for j in range(i + 1, k)]
+
+
+def twin_graph(n, rng):
+    """A random base graph blown up to n vertices: each base vertex
+    becomes a class of true twins (a clique) or of false twins (an
+    independent set), all with that vertex's outside neighbours."""
+    base = random_graph(rng.randrange(4, n), rng)
+    owner = list(range(base.n)) + [rng.randrange(base.n) for _ in range(n - base.n)]
+    rng.shuffle(owner)
+    clique = [rng.random() < 0.5 for _ in range(base.n)]
+    return graph_from_edges(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if (owner[u] == owner[v] and clique[owner[u]])
+        or base.adj[owner[u]] >> owner[v] & 1])
+
+
+def has_twins(g, adjacent):
+    return any(not (g.adj[u] ^ g.adj[v]) & ~(1 << u | 1 << v)
+               and g.adj[u] >> v & 1 == adjacent
+               for u in range(g.n) for v in range(u + 1, g.n))
+
+
+# canonical forms computed by the earlier depth-first search; the
+# symmetric ones are its worst cases (K_{1,9} took over a second)
+PINNED_FORMS = {
+    "K_{1,9}": (complete_bipartite_graph(1, 9), b"I??????~w"),
+    "K_{2,8}": (complete_bipartite_graph(2, 8), b"I????B~~o"),
+    "K_{5,5}": (complete_bipartite_graph(5, 5), b"I?B~vrw}?"),
+    "petersen": (graph_from_edges(10, cycle_edges(5) + [(i, i + 5) for i in range(5)]
+                                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+                 b"I?LRCecq?"),
+    "C_10": (graph_from_edges(10, cycle_edges(10)), b"I??XQa_o?"),
+    "5-prism": (graph_from_edges(10, cycle_edges(5) + cycle_edges(5, 5)
+                                 + [(i, i + 5) for i in range(5)]),
+                b"I?CilROw?"),
+    "K_5xK_2": (graph_from_edges(10, clique_edges(5) + clique_edges(5, 5)
+                                 + [(i, i + 5) for i in range(5)]),
+                b"IJ]KlNF}?"),
+}
+# SHA-1 of the newline-joined canonical forms of pin_graphs(), computed
+# by the earlier depth-first search
+PIN_GRAPHS_SHA1 = "c82d63737a7c05cf884df0d89f6dcc22a4559f41"
+
+
+def pin_graphs():
+    """2,400 seeded graphs on 9 and 10 vertices, half with twin classes."""
+    rng = random.Random(7)
+    return [twin_graph(9 + i % 2, rng) if i % 4 >= 2 else random_graph(9 + i % 2, rng)
+            for i in range(2400)]
+
+
 class TestCanonicalForm:
     def test_relabeling_invariance_p3(self):
         a = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -55,10 +119,34 @@ class TestCanonicalForm:
         for _ in range(500):
             n = rng.randrange(1, 10)
             g = random_graph(n, rng)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            h = graph_from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
-            assert canonical_form(g) == canonical_form(h)
+            assert canonical_form(g) == canonical_form(relabel(g, rng))
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FORMS))
+    def test_pinned_forms(self, name):
+        g, want = PINNED_FORMS[name]
+        rng = random.Random(name)
+        assert canonical_form(g) == want
+        for _ in range(3):
+            assert canonical_form(relabel(g, rng)) == want
+
+    def test_output_digest_on_twin_heavy_graphs(self):
+        graphs = pin_graphs()
+        assert sum(has_twins(g, 1) for g in graphs) > 1000
+        assert sum(has_twins(g, 0) for g in graphs) > 1000
+        data = b"\n".join(canonical_form(g) for g in graphs)
+        assert hashlib.sha1(data).hexdigest() == PIN_GRAPHS_SHA1
+
+    @pytest.mark.parametrize("name", ["K_{1,9}", "K_{5,5}"])
+    def test_twin_classes_are_not_permuted(self, name):
+        # each twin class is placed in index order only; trying all its
+        # orders took 70 ms to over a second on these graphs
+        g, _ = PINNED_FORMS[name]
+        best = float("inf")
+        for _ in range(3):
+            t = time.perf_counter()
+            canonical_form(g)
+            best = min(best, time.perf_counter() - t)
+        assert best < 0.05
 
     def test_labeled_graphs_on_4_vertices_give_11_classes(self):
         forms = set()

@@ -128,7 +128,7 @@ class TestRoundTrip:
         for _ in range(200):
             n = rng.randrange(1, 20)
             g = random_graph(n, 0.5, rng)
-            edge_set = set(g.edges())
+            edge_set = set(oracles.edges(g))
             assert write_graph6(g) == oracles.naive_graph6_encode(n, edge_set)
             back_n, back_edges = oracles.naive_graph6_decode(write_graph6(g))
             assert back_n == n and back_edges == edge_set
@@ -152,9 +152,9 @@ class TestGraphType:
         for _ in range(50):
             g = random_graph(rng.randrange(2, 12), 0.5, rng)
             for v in range(g.n):
-                assert not g.has_edge(v, v)
+                assert not g.adj[v] >> v & 1
                 for u in range(g.n):
-                    assert g.has_edge(u, v) == g.has_edge(v, u)
+                    assert g.adj[u] >> v & 1 == g.adj[v] >> u & 1
 
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -167,5 +167,5 @@ class TestGraphType:
     def test_degrees_and_edges(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert g.degrees() == (1, 2, 2, 1)
-        assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+        assert g.adj == (0b10, 0b101, 0b1010, 0b100)
         assert g.edge_count() == 3
