@@ -139,7 +139,7 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("name", ["K_{1,9}", "K_{5,5}"])
     def test_twin_classes_are_not_permuted(self, name):
         # each twin class is placed in index order only; trying all its
-        # orders took 70 ms to over a second on these graphs
+        # orders took about 0.07 s on K_{5,5} and over 1 s on K_{1,9}
         g, _ = PINNED_FORMS[name]
         best = float("inf")
         for _ in range(3):
