@@ -14,9 +14,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import tempfile
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 from snfcensus.exact import Matrix, char_poly, snf
 from snfcensus.gen import GraphStream
@@ -158,14 +160,14 @@ WINDOW_PER_JOB = 2
 
 
 def _keys_for_chunk(args) -> list[list[bytes]]:
-    start, graphs, kinds, part_lists = args
+    records, kinds, part_lists = args
     out = []
-    for offset, g in enumerate(graphs):
+    for number, g in records:
         try:
             keys = _part_keys(g, kinds)
         except DisconnectedGraphError as e:
             raise CensusError(
-                f"record {start + offset + 1}: disconnected graph in stream ({e})"
+                f"record {number}: disconnected graph in stream ({e})"
             ) from None
         out.append([b"".join(keys[p] for p in plist) for plist in part_lists])
     return out
@@ -184,22 +186,17 @@ def _bounded_map(pool: ProcessPoolExecutor, fn, tasks, window: int):
         yield pending.popleft().result()
 
 
-def _iter_spec_keys(stream: GraphStream, specs: list[InvariantSpec], jobs: int):
-    """Yield per-graph lists of spec keys, sharing part computations."""
+def _iter_record_keys(records, specs: list[InvariantSpec], jobs: int):
+    """Yield, in order, the spec keys of each (record number, graph)
+    pair of ``records``, sharing part computations; errors name the
+    record by its number."""
     kinds = _group_by_kind(p for s in specs for p in s.parts)
     part_lists = [s.parts for s in specs]
+    records = iter(records)
 
     def tasks():
-        buf = []
-        start = 0
-        for g in stream:
-            buf.append(g)
-            if len(buf) == CHUNK:
-                yield (start, buf, kinds, part_lists)
-                start += len(buf)
-                buf = []
-        if buf:
-            yield (start, buf, kinds, part_lists)
+        while chunk := list(islice(records, CHUNK)):
+            yield chunk, kinds, part_lists
 
     if jobs <= 1:
         for block in map(_keys_for_chunk, tasks()):
@@ -214,8 +211,88 @@ def _iter_spec_keys(stream: GraphStream, specs: list[InvariantSpec], jobs: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _iter_spec_keys(stream: GraphStream, specs: list[InvariantSpec], jobs: int):
+    """Yield per-graph lists of spec keys, numbering records from 1."""
+    return _iter_record_keys(enumerate(stream, 1), specs, jobs)
+
+
+DIGEST_SIZE = 16
+
+
 def _digest(key: bytes) -> bytes:
-    return hashlib.blake2b(key, digest_size=16).digest()
+    return hashlib.blake2b(key, digest_size=DIGEST_SIZE).digest()
+
+
+def _graph_digest(g: Graph) -> bytes:
+    return _digest(repr(g.adj).encode())
+
+
+def _changed(number: int) -> CensusError:
+    return CensusError(f"record {number}: stream changed between passes")
+
+
+def _two_pass_counts(stream: GraphStream, specs: list[InvariantSpec],
+                     jobs: int) -> tuple[int, list[Counter]]:
+    """The universe, and per spec the exact-key counts of the records
+    in hot (size >= 2) digest buckets.
+
+    Pass 1 spills one fixed-size row per record to an anonymous
+    temporary file: the graph's digest, then its key digest under each
+    spec.  Pass 2 reads the stream beside the spill, checks each graph
+    against its row, and recomputes keys only for records that sit in a
+    hot bucket of some spec.
+    """
+    width = DIGEST_SIZE * (len(specs) + 1)
+    offsets = range(DIGEST_SIZE, width, DIGEST_SIZE)
+    with tempfile.TemporaryFile() as spill:
+        # graph digests of the records in flight in the key loop
+        graph_digests: deque = deque()
+
+        def first_pass():
+            for number, g in enumerate(stream, 1):
+                graph_digests.append(_graph_digest(g))
+                yield number, g
+
+        hashed: list[Counter] = [Counter() for _ in specs]
+        universe = 0
+        for keys in _iter_record_keys(first_pass(), specs, jobs):
+            universe += 1
+            row = [graph_digests.popleft()]
+            for c, k in zip(hashed, keys):
+                d = _digest(k)
+                c[d] += 1
+                row.append(d)
+            spill.write(b"".join(row))
+        hot = [frozenset(d for d, c in counter.items() if c >= 2)
+               for counter in hashed]
+        del hashed  # pass 2 never holds the digest counts and hot sets at once
+        spill.seek(0)
+
+        # (record number, spilled row) of the hot records in flight
+        pending: deque = deque()
+
+        def second_pass():
+            number = 0
+            for number, g in enumerate(stream, 1):
+                row = spill.read(width)
+                if row[:DIGEST_SIZE] != _graph_digest(g):
+                    raise _changed(number)
+                if any(row[o:o + DIGEST_SIZE] in h for o, h in zip(offsets, hot)):
+                    pending.append((number, row))
+                    yield number, g
+            if number != universe:
+                raise _changed(number + 1)
+
+        exact: list[Counter] = [Counter() for _ in specs]
+        for keys in _iter_record_keys(second_pass(), specs, jobs):
+            number, row = pending.popleft()
+            for c, h, o, k in zip(exact, hot, offsets, keys):
+                d = _digest(k)
+                if d != row[o:o + DIGEST_SIZE]:
+                    raise CensusError(f"record {number}: keys changed between passes")
+                if d in h:
+                    c[k] += 1
+    return universe, exact
 
 
 def run_census(stream: GraphStream, specs, *, two_pass: bool = False,
@@ -223,49 +300,24 @@ def run_census(stream: GraphStream, specs, *, two_pass: bool = False,
     """Count, for every spec, the graphs whose key bucket has size >= 2.
 
     One representative per isomorphism class must arrive on the
-    stream.  ``two_pass`` buckets 128-bit key digests first and
-    re-verifies exact keys only inside candidate buckets, trading a
-    second stream pass for a much smaller working set (meant for the
-    n = 10 universe); both modes produce identical reports.
+    stream.  ``two_pass`` buckets 128-bit key digests on a first pass
+    and spills each record's graph and key digests to a temporary file,
+    16 * (specs + 1) bytes per record.  The second pass checks each
+    graph against the spill and recomputes exact keys only for records
+    in a hot digest bucket, so the working set is the digest counts
+    plus the hot records' exact keys (meant for the n = 10 universe);
+    both modes produce identical reports.
     """
     specs = [parse_spec(s) if isinstance(s, str) else s for s in specs]
     if not two_pass:
-        counters: list[Counter] = [Counter() for _ in specs]
+        exact: list[Counter] = [Counter() for _ in specs]
         universe = 0
         for keys in _iter_spec_keys(stream, specs, jobs):
             universe += 1
-            for c, k in zip(counters, keys):
+            for c, k in zip(exact, keys):
                 c[k] += 1
-        exact = counters
     else:
-        # each pass folds every per-record key digest into one stream
-        # digest, so a stream that changes between passes is caught
-        hashed: list[Counter] = [Counter() for _ in specs]
-        universe = 0
-        first = hashlib.blake2b()
-        for keys in _iter_spec_keys(stream, specs, jobs):
-            universe += 1
-            for c, k in zip(hashed, keys):
-                d = _digest(k)
-                first.update(d)
-                c[d] += 1
-        hot = [frozenset(h for h, c in counter.items() if c >= 2)
-               for counter in hashed]
-        exact = [Counter() for _ in specs]
-        second = 0
-        again = hashlib.blake2b()
-        for keys in _iter_spec_keys(stream, specs, jobs):
-            second += 1
-            for i, k in enumerate(keys):
-                d = _digest(k)
-                again.update(d)
-                if d in hot[i]:
-                    exact[i][k] += 1
-        if second != universe or again.digest() != first.digest():
-            raise CensusError(
-                f"stream changed between passes: {universe} then {second} "
-                f"records, key digests {first.hexdigest()[:16]} then "
-                f"{again.hexdigest()[:16]}")
+        universe, exact = _two_pass_counts(stream, specs, jobs)
 
     results = []
     for s, counter in zip(specs, exact):

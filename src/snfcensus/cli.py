@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           " (repeatable)")
     cen.add_argument("--format", choices=("tsv", "json"), default="tsv")
     cen.add_argument("--two-pass", action="store_true",
-                     help="hash-digest first pass to shrink the working set")
+                     help="count key digests first, then recompute exact keys"
+                          " only for graphs that share a digest")
     cen.add_argument("--jobs", type=int, default=1)
     cen.add_argument("--manifest", metavar="FILE",
                      help="also write the JSON run manifest to FILE")

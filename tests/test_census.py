@@ -1,11 +1,14 @@
 """Census semantics: keys, bucket counts, reports, stream handling."""
 
 import json
+import multiprocessing
 import random
+import tempfile
 from collections import Counter
 
 import pytest
 
+from snfcensus import census
 from snfcensus.census import (
     CHUNK,
     WINDOW_PER_JOB,
@@ -23,7 +26,7 @@ from snfcensus.census import (
 from snfcensus.exact import char_poly, snf
 from snfcensus.gen import GraphStream, enumerate_connected, graph6_file_stream
 from snfcensus.graphio import graph_from_edges, write_graph6
-from snfcensus.matrices import MatrixKind, build_matrix
+from snfcensus.matrices import DisconnectedGraphError, MatrixKind, build_matrix
 
 K3 = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -197,10 +200,18 @@ class TestRunCensus:
 
     def test_two_pass_matches_one_pass(self):
         for n in (5, 6, 7):
+            # DL:sp,DQ:in is joint, and no two graphs share its key here,
+            # so its hot set is empty
             specs = ["A:sp", "D:in", "DL:sp,DQ:in"]
             one = run_census(enumerate_connected(n), specs)
             two = run_census(enumerate_connected(n), specs, two_pass=True)
             assert one == two
+            assert one.results[2].mates_count == 0
+            both = run_census(enumerate_connected(n), specs, two_pass=True, jobs=2)
+            assert both == one
+            for fmt in ("tsv", "json"):
+                assert (emit_report(one, fmt) == emit_report(two, fmt)
+                        == emit_report(both, fmt))
 
     def test_jobs_match_serial(self):
         specs = ["Q:sp", "D:in"]
@@ -234,6 +245,95 @@ class TestRunCensus:
         stream = GraphStream("changing", 7, lambda: iter(next(passes)))
         with pytest.raises(CensusError, match="changed between passes"):
             run_census(stream, ["DL:sp"], two_pass=True)
+
+    @pytest.mark.parametrize("change, record", [
+        (lambda gs: gs[:39] + gs[40:41] + gs[40:], 40),  # record 40 swapped
+        (lambda gs: gs[:-1], 112),  # one record fewer
+        (lambda gs: gs + gs[:1], 113),  # one record more
+    ], ids=["swapped", "fewer", "more"])
+    def test_two_pass_names_changed_record(self, change, record):
+        graphs = list(enumerate_connected(6))
+        passes = iter([graphs, change(graphs)])
+        stream = GraphStream("changing", 6, lambda: iter(next(passes)))
+        with pytest.raises(CensusError,
+                           match=f"^record {record}: stream changed between passes$"):
+            run_census(stream, ["A:sp"], two_pass=True)
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched module"))])
+    def test_two_pass_keeps_record_numbers(self, monkeypatch, tmp_path, jobs):
+        graphs = list(enumerate_connected(7))
+        spec = parse_spec("DL:sp")
+        sizes = Counter(spec_key(g, spec) for g in graphs)
+        # the last hot record: pass 2 feeds it at a smaller position
+        k = max(i for i, g in enumerate(graphs, 1) if sizes[spec_key(g, spec)] >= 2)
+        seen = tmp_path / "seen"  # a file, so that --jobs workers share it
+        real = census._part_keys
+
+        def fail_on_second_sight(g, kinds):
+            if g == graphs[k - 1]:
+                if seen.exists():
+                    raise DisconnectedGraphError("injected")
+                seen.touch()
+            return real(g, kinds)
+
+        monkeypatch.setattr(census, "_part_keys", fail_on_second_sight)
+        with pytest.raises(CensusError, match=f"^record {k}: disconnected"):
+            run_census(list_stream(graphs, 7), ["DL:sp"], two_pass=True, jobs=jobs)
+        assert seen.exists()
+
+    def test_two_pass_catches_changed_keys(self, monkeypatch):
+        graphs = list(enumerate_connected(6))
+        sizes = Counter(spec_key(g, parse_spec("A:sp")) for g in graphs)
+        k = next(i for i, g in enumerate(graphs, 1)
+                 if sizes[spec_key(g, parse_spec("A:sp"))] >= 2)
+        seen = 0
+        real = census.part_key
+
+        def differs_on_second_sight(g, part, m=None):
+            nonlocal seen
+            if g == graphs[k - 1]:
+                seen += 1
+                if seen == 2:
+                    return b"?"
+            return real(g, part, m)
+
+        monkeypatch.setattr(census, "part_key", differs_on_second_sight)
+        with pytest.raises(CensusError, match=f"^record {k}: keys changed"):
+            run_census(list_stream(graphs, 6), ["A:sp"], two_pass=True)
+
+    def test_two_pass_recomputes_only_hot_records(self, monkeypatch):
+        specs = [parse_spec("A:sp"), parse_spec("DL:in")]
+        graphs = list(enumerate_connected(7))
+        sizes = [Counter(spec_key(g, s) for g in graphs) for s in specs]
+        hot = sum(any(c[spec_key(g, s)] >= 2 for c, s in zip(sizes, specs))
+                  for g in graphs)
+        calls = 0
+        real = census.part_key
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(census, "part_key", counted)
+        rep = run_census(enumerate_connected(7), specs, two_pass=True)
+        parts = 2
+        assert 0 < hot < rep.universe == len(graphs)
+        assert calls == rep.universe * parts + hot * parts
+        assert calls < 2 * rep.universe * parts
+
+    def test_two_pass_leaves_no_spill(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        graphs = list(enumerate_connected(6))
+        run_census(list_stream(graphs, 6), ["A:sp", "D:in"], two_pass=True)
+        assert list(tmp_path.iterdir()) == []
+        passes = iter([graphs, graphs[:-1]])
+        stream = GraphStream("changing", 6, lambda: iter(next(passes)))
+        with pytest.raises(CensusError):
+            run_census(stream, ["A:sp", "D:in"], two_pass=True)
+        assert list(tmp_path.iterdir()) == []
 
     def test_disconnected_stream_aborts_with_record(self, tmp_path):
         recs = [write_graph6(g) for g in enumerate_connected(4)]
