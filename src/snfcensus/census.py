@@ -14,10 +14,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import os
 import tempfile
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from snfcensus.exact import Matrix, char_poly, snf
@@ -87,8 +88,11 @@ def parse_spec(text: str) -> InvariantSpec:
 
 
 def _encode_ints(values) -> bytes:
-    """Length-prefixed decimal encoding; self-delimiting, so injective."""
-    return b"".join(b"%d:%d" % (len(str(v)), v) for v in values)
+    """Comma-separated decimals.  Keys stay injective: every part
+    starts with its tag byte, a letter, which no decimal or comma
+    contains, so tags separate the parts, and commas separate a
+    part's integers."""
+    return b",".join(b"%d" % v for v in values)
 
 
 def part_key(g: Graph, part: Part, m: Matrix | None = None) -> bytes:
@@ -138,6 +142,8 @@ class CensusReport:
     n: int
     universe: int
     results: tuple[SpecResult, ...]
+    # processes that computed keys; how the report was made, not part of it
+    workers: int = field(default=1, compare=False)
 
 
 def _mates_and_histogram(counter: Counter) -> tuple[int, dict[int, int]]:
@@ -295,6 +301,14 @@ def _two_pass_counts(stream: GraphStream, specs: list[InvariantSpec],
     return universe, exact
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_census(stream: GraphStream, specs, *, two_pass: bool = False,
                jobs: int = 1) -> CensusReport:
     """Count, for every spec, the graphs whose key bucket has size >= 2.
@@ -306,9 +320,11 @@ def run_census(stream: GraphStream, specs, *, two_pass: bool = False,
     graph against the spill and recomputes exact keys only for records
     in a hot digest bucket, so the working set is the digest counts
     plus the hot records' exact keys (meant for the n = 10 universe);
-    both modes produce identical reports.
+    both modes produce identical reports.  ``jobs`` is capped at the
+    usable CPUs, and the report's ``workers`` says how many ran.
     """
     specs = [parse_spec(s) if isinstance(s, str) else s for s in specs]
+    jobs = max(1, min(jobs, _usable_cpus()))
     if not two_pass:
         exact: list[Counter] = [Counter() for _ in specs]
         universe = 0
@@ -330,7 +346,7 @@ def run_census(stream: GraphStream, specs, *, two_pass: bool = False,
                 hist[1] = hist.get(1, 0) + leftovers
         ratio = mates / universe if universe else 0.0
         results.append(SpecResult(s.label, mates, ratio, hist))
-    return CensusReport(stream.n, universe, tuple(results))
+    return CensusReport(stream.n, universe, tuple(results), workers=jobs)
 
 
 def emit_report(report: CensusReport, format: str = "tsv") -> bytes:

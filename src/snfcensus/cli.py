@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--two-pass", action="store_true",
                      help="count key digests first, then recompute exact keys"
                           " only for graphs that share a digest")
-    cen.add_argument("--jobs", type=int, default=1)
+    cen.add_argument("--jobs", type=int, default=1,
+                     help="worker processes, at most one per usable CPU")
     cen.add_argument("--manifest", metavar="FILE",
                      help="also write the JSON run manifest to FILE")
 
@@ -147,6 +148,7 @@ def _cmd_census(args, parser) -> int:
         "format": args.format,
         "two_pass": args.two_pass,
         "jobs": args.jobs,
+        "workers": report.workers,
         "padding_warnings": stream.padding_warnings,
         "wall_time_s": round(elapsed, 3),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

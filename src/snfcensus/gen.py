@@ -2,14 +2,20 @@
 
 One vertex-extension loop, ``_extend``, makes every connected class on
 n vertices: it joins a new vertex to every nonempty vertex set of each
-connected class on n-1 vertices and deduplicates through
-``canonical_form``.  Every child is connected, because the new vertex
-has a neighbour in a connected parent.  The loop is complete, because
-every connected graph on n >= 2 vertices has a vertex that is not a
-cut vertex -- any leaf of a spanning tree.  Deleting it leaves a
-connected graph on n-1 vertices, which is isomorphic to some parent,
-and the graph is that parent's child by the deleted vertex's
-neighbourhood.
+connected class on n-1 vertices, keeps a child only if the new vertex
+has the highest degree among the child's non-cut vertices (ties are
+kept), and deduplicates the kept children through ``canonical_form``.
+Every child is connected, because the new vertex has a neighbour in a
+connected parent.  The loop is complete: every connected graph G on
+n >= 2 vertices has a vertex that is not a cut vertex -- any leaf of a
+spanning tree -- so it has a non-cut vertex v of highest degree among
+its non-cut vertices.  G - v is connected, so it is isomorphic to some
+parent, and G is that parent's child by v's neighbourhood, with the
+new vertex in v's place.  Degrees and cut vertices are kept by
+isomorphism, so that child passes the filter.  The filter needs no
+search per child: vertex u is a non-cut vertex of the child exactly
+when the new vertex's other neighbours meet every component of
+parent - u, and those components are found once per parent.
 
 ``canonical_form`` takes the least adjacency bit string over the vertex
 orderings that follow a colour refinement, twin classes in index order.
@@ -159,21 +165,57 @@ class GraphStream:
         return f"GraphStream({self.source!r}, n={self.n})"
 
 
+def _components_without(adj: tuple[int, ...], u: int) -> list[int]:
+    """Vertex bitsets of the components of the graph minus vertex u."""
+    rest = ((1 << len(adj)) - 1) & ~(1 << u)
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & rest & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def _extend(n: int) -> list[bytes]:
     """Sorted canonical graph6 bytes of every connected class on n
     vertices, made by joining vertex n-1 to each nonempty vertex set of
-    each connected class on n-1 vertices."""
+    each connected class on n-1 vertices, keeping only the children in
+    which vertex n-1 has the highest degree among non-cut vertices."""
     if n == 1:
         return [write_graph6(Graph(1, (0,)))]
     found: set[bytes] = set()
     hi = 1 << (n - 1)
     for parent in _catalog(n - 1):
         base = parent.adj
+        # rivals[k]: the parent vertices u that may outrank a new vertex
+        # of degree k, as (bit of u, components of parent - u, whether
+        # u outranks it even when u is outside the mask)
+        rivals: list[list[tuple[int, list[int], bool]]] = [[] for _ in range(n)]
+        for u, row in enumerate(base):
+            deg = row.bit_count()
+            comps = _components_without(base, u)
+            for k in range(1, deg + 1):
+                rivals[k].append((1 << u, comps, deg > k))
         for mask in range(1, hi):
-            rows = [row | hi if mask >> u & 1 else row
-                    for u, row in enumerate(base)]
-            rows.append(mask)
-            found.add(canonical_form(Graph(n, tuple(rows))))
+            for bit, comps, higher in rivals[mask.bit_count()]:
+                if higher or mask & bit:
+                    # u outranks the new vertex; it is a non-cut vertex
+                    # of the child iff the new vertex's other neighbours
+                    # m meet every component of parent - u
+                    m = mask & ~bit
+                    if all(m & c for c in comps):
+                        break
+            else:
+                rows = [row | hi if mask >> u & 1 else row
+                        for u, row in enumerate(base)]
+                rows.append(mask)
+                found.add(canonical_form(Graph(n, tuple(rows))))
     return sorted(found)
 
 

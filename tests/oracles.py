@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 import networkx as nx
 
+from snfcensus.gen import canonical_form, enumerate_connected
 from snfcensus.graphio import Graph, graph_from_edges
 
 # ---------------------------------------------------------------- graph6
@@ -73,6 +74,21 @@ def brute_force_min_relabel(g: Graph) -> tuple:
         if best is None or key < best:
             best = key
     return (n, best)
+
+
+def unfiltered_extension(n: int) -> list[bytes]:
+    """Sorted canonical forms of the connected classes on n >= 2
+    vertices: a new vertex joined to every nonempty vertex set of every
+    connected class on n - 1 vertices, all children deduplicated by
+    canonical form, none skipped."""
+    found = set()
+    for parent in enumerate_connected(n - 1):
+        for size in range(1, n):
+            for nbrs in combinations(range(n - 1), size):
+                child = graph_from_edges(
+                    n, edges(parent) + [(u, n - 1) for u in nbrs])
+                found.add(canonical_form(child))
+    return sorted(found)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

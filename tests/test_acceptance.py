@@ -2,7 +2,7 @@
 
 Run ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL line per
 criterion.  Criteria 5-7 need the n = 9 connected-graph catalog; it is
-built once into tests/.cache/ (about three minutes) and reused after
+built once into tests/.cache/ (about 40 seconds) and reused after
 that.  Criterion 9 has an optional long-run part (trees through n = 20,
 budgeted under two hours) enabled by setting SNFCENSUS_LONGRUN=1.
 """

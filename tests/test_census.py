@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import random
 import tempfile
 from collections import Counter
@@ -90,8 +91,9 @@ class TestKeys:
         a = graph_from_edges(2, [(0, 1)])
         spec = parse_spec("A:sp")
         k = spec_key(a, spec)
-        assert k.startswith(b"a")
-        assert b"2:-1" in k  # c_0 = det-sign term for K_2 adjacency
+        assert k == b"a-1,0,1"  # x^2 - 1, coefficients ascending
+        assert census._encode_ints([1, 14]) != census._encode_ints([11, 4])
+        assert census._encode_ints([1, 2]) != census._encode_ints([12])
 
     def test_duplicated_part_same_buckets(self):
         graphs = list(enumerate_connected(5))
@@ -218,6 +220,23 @@ class TestRunCensus:
         serial = run_census(enumerate_connected(6), specs)
         parallel = run_census(enumerate_connected(6), specs, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, workers", [(1, 1), (2, 2), (3, 3), (100_000, 3)])
+    @pytest.mark.parametrize("two_pass", [False, True])
+    def test_jobs_capped_at_usable_cpus(self, fake_pool_on_3_cpus, jobs, workers,
+                                        two_pass):
+        specs = ["A:sp", "D:in"]
+        report = run_census(enumerate_connected(5), specs, jobs=jobs,
+                            two_pass=two_pass)
+        assert report.workers == workers
+        # a serial census makes no pool; two_pass makes one per pass
+        assert fake_pool_on_3_cpus == [workers] * (workers > 1) * (1 + two_pass)
+        assert report == run_census(enumerate_connected(5), specs)
+
+    def test_jobs_capped_at_real_affinity(self, fake_pool):
+        report = run_census(enumerate_connected(4), ["A:sp"], jobs=100_000)
+        assert report.workers == len(os.sched_getaffinity(0))
+        assert fake_pool == [report.workers] * (report.workers > 1)
 
     def test_jobs_keep_a_bounded_window(self):
         pulled = 0

@@ -57,6 +57,18 @@ class TestCensusCommand:
                         "--spec", "L:sp", "--two-pass")
         assert one == two
 
+    def test_manifest_records_capped_workers(self, capsys, fake_pool_on_3_cpus):
+        made = fake_pool_on_3_cpus
+        argv = ("census", "--n", "5", "--generate", "--spec", "A:sp")
+        _, serial, err = run(capsys, *argv)
+        assert json.loads(err)["workers"] == 1
+        code, out, err = run(capsys, *argv, "--jobs", "100000")
+        assert code == 0 and out == serial
+        manifest = json.loads(err)
+        assert manifest["jobs"] == 100000
+        assert manifest["workers"] == 3
+        assert made == [3]
+
     def test_manifest_file(self, capsys, tmp_path):
         mf = tmp_path / "run.json"
         code, _, err = run(capsys, "census", "--n", "4", "--generate",

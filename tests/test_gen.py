@@ -236,6 +236,39 @@ class TestEnumerateConnected:
             enumerate_connected(9)
 
 
+class TestExtend:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_unfiltered_extension(self, n):
+        assert gen._extend(n) == oracles.unfiltered_extension(n)
+
+    def test_components_without(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            g = random_graph(rng.randrange(2, 10), rng)
+            for u in range(g.n):
+                h = nx.Graph(oracles.edges(g))
+                h.add_nodes_from(range(g.n))
+                h.remove_node(u)
+                want = sorted(sum(1 << v for v in c)
+                              for c in nx.connected_components(h))
+                assert sorted(gen._components_without(g.adj, u)) == want
+
+    def test_canonical_forms_only_for_kept_children(self, monkeypatch):
+        gen._catalog(7)
+        calls = 0
+        real = gen.canonical_form
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return real(g)
+
+        monkeypatch.setattr(gen, "canonical_form", counted)
+        assert len(gen._extend(8)) == 11117
+        # 24,324 with the filter; 853 parents x 127 masks = 108,331 without
+        assert calls < 30_000
+
+
 class TestEnumerateTrees:
     @pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))
     def test_counts(self, n, count):
